@@ -49,24 +49,23 @@ void DeliveryModel::probabilities_n(const double* snr_db, std::size_t n,
   for (std::size_t k = 0; k < n; ++k) out[k] = 1.0 / (1.0 + out[k]);
 }
 
+mac::RateIndex DeliveryModel::best_rate(double snr_db,
+                                        double target) const noexcept {
+  for (mac::RateIndex r = mac::fastest_rate(); r > mac::slowest_rate(); --r) {
+    if (probability(snr_db, r) >= target) return r;
+  }
+  return mac::slowest_rate();
+}
+
 mac::RateIndex best_rate_for_snr(double snr_db, double target,
                                  int payload_bytes,
                                  const SnrModelParams& params) {
-  // The frame-length shift is rate-independent; hoist it out of the rate
-  // loop instead of letting delivery_probability recompute the log2 per
-  // rate. Each per-rate probability is still the very double that function
-  // returns (same shift value, same logistic arithmetic) — pinned by
+  // The frame-length shift is rate-independent; DeliveryModel pays its log2
+  // once instead of once per rate. Each per-rate probability is still the
+  // very double delivery_probability returns (same shift value, same
+  // logistic arithmetic) — pinned by
   // SnrModelTest.BestRateMatchesPerRateProbabilities.
-  const double length_shift_db =
-      0.9 * std::log2(static_cast<double>(payload_bytes) /
-                      static_cast<double>(params.reference_bytes));
-  for (mac::RateIndex r = mac::fastest_rate(); r > mac::slowest_rate(); --r) {
-    const double threshold = mac::rate(r).min_snr_db + length_shift_db;
-    const double x = (snr_db - threshold) / params.transition_width_db;
-    const double p = 1.0 / (1.0 + util::detmath::dexp(-x));
-    if (p >= target) return r;
-  }
-  return mac::slowest_rate();
+  return DeliveryModel(payload_bytes, params).best_rate(snr_db, target);
 }
 
 }  // namespace sh::channel

@@ -56,6 +56,11 @@ class DeliveryModel {
     return 1.0 / (1.0 + util::detmath::dexp(-x));
   }
 
+  /// The highest rate whose probability(snr_db, rate) is at least
+  /// `target`, or the slowest rate if none qualifies: best_rate_for_snr
+  /// with this model's payload and parameters.
+  mac::RateIndex best_rate(double snr_db, double target) const noexcept;
+
   /// Block form: out[k] is bit-identical to probability(snr_db[k], rate).
   /// `scratch` must hold at least n doubles.
   void probabilities_n(const double* snr_db, std::size_t n,

@@ -8,25 +8,6 @@
 
 namespace sh::channel {
 
-std::size_t PacketFateTrace::slot_index(Time t) const noexcept {
-  if (slots_.empty() || t <= 0) return 0;
-  const auto idx = static_cast<std::size_t>(t / slot_duration_);
-  return idx < slots_.size() ? idx : slots_.size() - 1;
-}
-
-bool PacketFateTrace::delivered(Time t, mac::RateIndex rate) const {
-  assert(mac::valid_rate(rate));
-  return slots_.at(slot_index(t)).delivered[static_cast<std::size_t>(rate)];
-}
-
-double PacketFateTrace::snr_db(Time t) const {
-  return slots_.at(slot_index(t)).snr_db;
-}
-
-bool PacketFateTrace::moving(Time t) const {
-  return slots_.at(slot_index(t)).moving;
-}
-
 double PacketFateTrace::delivery_ratio(mac::RateIndex rate) const {
   assert(mac::valid_rate(rate));
   if (slots_.empty()) return 0.0;

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <array>
+#include <cassert>
 #include <iosfwd>
 #include <optional>
 #include <vector>
@@ -44,13 +45,20 @@ class PacketFateTrace {
 
   /// Slot index covering time `t`; clamped to the last slot for t past the
   /// end so replay of a slightly-overrunning experiment stays defined.
-  std::size_t slot_index(Time t) const noexcept;
+  std::size_t slot_index(Time t) const noexcept {
+    if (slots_.empty() || t <= 0) return 0;
+    const auto idx = static_cast<std::size_t>(t / slot_duration_);
+    return idx < slots_.size() ? idx : slots_.size() - 1;
+  }
 
   /// Fate of a packet sent at time `t` and rate `rate`. Packets in the same
   /// slot at the same rate share fate (as in the paper's replay).
-  bool delivered(Time t, mac::RateIndex rate) const;
-  double snr_db(Time t) const;
-  bool moving(Time t) const;
+  bool delivered(Time t, mac::RateIndex rate) const {
+    assert(mac::valid_rate(rate));
+    return slots_.at(slot_index(t)).delivered[static_cast<std::size_t>(rate)];
+  }
+  double snr_db(Time t) const { return slots_.at(slot_index(t)).snr_db; }
+  bool moving(Time t) const { return slots_.at(slot_index(t)).moving; }
 
   /// Fraction of slots delivered at `rate` over the whole trace.
   double delivery_ratio(mac::RateIndex rate) const;

@@ -52,6 +52,17 @@ Duration attempt_duration(RateIndex index, int payload_bytes, int retry,
          timing.sifs + ack_duration(index, timing);
 }
 
+AirtimeTable::AirtimeTable(int payload_bytes, int max_retry,
+                           const MacTiming& timing) {
+  assert(max_retry >= 0);
+  table_.reserve(static_cast<std::size_t>((max_retry + 1) * kNumRates));
+  for (int retry = 0; retry <= max_retry; ++retry) {
+    for (RateIndex r = slowest_rate(); r <= fastest_rate(); ++r) {
+      table_.push_back(attempt_duration(r, payload_bytes, retry, timing));
+    }
+  }
+}
+
 Duration expected_tx_time(RateIndex index, int payload_bytes, double p,
                           int max_retries, const MacTiming& timing) {
   assert(p >= 0.0 && p <= 1.0);

@@ -5,6 +5,10 @@
 // attempt, so this math is shared library-wide.
 #pragma once
 
+#include <cassert>
+#include <cstddef>
+#include <vector>
+
 #include "mac/rates.h"
 #include "util/time.h"
 
@@ -37,6 +41,30 @@ Duration ack_duration(RateIndex data_rate, const MacTiming& timing = {});
 /// we approximate by the ACK duration).
 Duration attempt_duration(RateIndex index, int payload_bytes, int retry = 0,
                           const MacTiming& timing = {});
+
+/// attempt_duration precomputed for one payload size: a (retry, rate) ->
+/// Duration table covering retries 0..max_retry. Replay charges airtime on
+/// every attempt and the value depends only on (rate, payload, retry), so
+/// a run builds the table once and looks entries up; every entry is filled
+/// by attempt_duration itself.
+class AirtimeTable {
+ public:
+  explicit AirtimeTable(int payload_bytes, int max_retry = 0,
+                        const MacTiming& timing = {});
+
+  int max_retry() const noexcept {
+    return static_cast<int>(table_.size() / kNumRates) - 1;
+  }
+
+  Duration attempt(RateIndex index, int retry = 0) const {
+    assert(valid_rate(index));
+    assert(retry >= 0 && retry <= max_retry());
+    return table_[static_cast<std::size_t>(retry * kNumRates + index)];
+  }
+
+ private:
+  std::vector<Duration> table_;
+};
 
 /// Expected total time to deliver a frame given per-attempt success
 /// probability p and a maximum of `max_retries` retransmissions, following

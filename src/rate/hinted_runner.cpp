@@ -132,6 +132,8 @@ HintedRunResult run_trace_with_hint_protocol(
             return sender_view;
           }},
       util::Rng(42));
+  const mac::AirtimeTable airtime(config.run.payload_bytes,
+                                  config.run.link_retries);
   util::Rng floor_rng(config.run.floor_seed);
   util::Rng standalone_rng(config.sensor_seed ^ 0x5A5A);
   transport::TcpModel tcp(config.run.tcp);
@@ -162,7 +164,7 @@ HintedRunResult run_trace_with_hint_protocol(
       const bool delivered = trace.delivered(now, r) &&
                              !floor_rng.bernoulli(config.run.iid_loss_floor);
       adapter.on_result(now, r, delivered);
-      now += mac::attempt_duration(r, config.run.payload_bytes, retry);
+      now += airtime.attempt(r, retry);
       if (delivered) {
         // The link-layer ACK carries the receiver's CURRENT movement bit.
         deliver_hint_to_sender(now);

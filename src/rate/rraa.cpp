@@ -15,9 +15,9 @@ Rraa::Rraa(Params params) : params_(params), current_(mac::fastest_rate()) {
 void Rraa::recompute_thresholds() {
   // Critical loss for rate r vs r-1: p* = 1 - t(r)/t(r-1), where t is the
   // per-attempt airtime. Above p*, dropping to r-1 yields more goodput.
+  const mac::AirtimeTable table(params_.payload_bytes);
   auto airtime = [&](mac::RateIndex r) {
-    return static_cast<double>(
-        mac::attempt_duration(r, params_.payload_bytes, /*retry=*/0));
+    return static_cast<double>(table.attempt(r));
   };
   for (mac::RateIndex r = mac::slowest_rate(); r <= mac::fastest_rate(); ++r) {
     const auto i = static_cast<std::size_t>(r);

@@ -2,7 +2,6 @@
 
 #include <cassert>
 #include <limits>
-#include <vector>
 
 #include "mac/airtime.h"
 
@@ -12,34 +11,36 @@ SampleRateAdapter::SampleRateAdapter(Params params, util::Rng rng)
     : params_(params), rng_(rng) {
   assert(params_.window > 0);
   assert(params_.sample_every >= 2);
-}
-
-double SampleRateAdapter::lossless_tx_time_us(mac::RateIndex r) const {
-  return static_cast<double>(
-      mac::attempt_duration(r, params_.payload_bytes, /*retry=*/0));
-}
-
-void SampleRateAdapter::prune(Time now, RateStats& stats) {
-  while (!stats.outcomes.empty() &&
-         now - stats.outcomes.front().when > params_.window) {
-    if (stats.outcomes.front().acked) --stats.successes;
-    stats.outcomes.pop_front();
+  const mac::AirtimeTable airtime(params_.payload_bytes);
+  for (mac::RateIndex r = mac::slowest_rate(); r <= mac::fastest_rate(); ++r) {
+    lossless_us_[static_cast<std::size_t>(r)] =
+        static_cast<double>(airtime.attempt(r));
   }
-  if (stats.outcomes.empty()) stats.consecutive_failures = 0;
 }
 
-double SampleRateAdapter::avg_tx_time_us(Time now, mac::RateIndex r) {
-  auto& stats = stats_[static_cast<std::size_t>(r)];
-  prune(now, stats);
-  if (stats.outcomes.empty()) return lossless_tx_time_us(r);
-  if (stats.successes == 0) return std::numeric_limits<double>::infinity();
+void SampleRateAdapter::prune(Time now) {
+  while (!window_.empty() && now - window_.front().when > params_.window) {
+    const Outcome& oldest = window_.front();
+    auto& s = stats(oldest.rate);
+    --s.count;
+    if (oldest.acked) --s.successes;
+    if (s.count == 0) s.consecutive_failures = 0;
+    window_.pop_front();
+  }
+}
+
+double SampleRateAdapter::avg_tx_time_us(mac::RateIndex r) const {
+  const auto i = static_cast<std::size_t>(r);
+  const auto& s = stats_[i];
+  if (s.count == 0) return lossless_us_[i];
+  if (s.successes == 0) return std::numeric_limits<double>::infinity();
   // Every attempt in the window paid airtime; only successes delivered data.
-  const double total_airtime =
-      lossless_tx_time_us(r) * static_cast<double>(stats.outcomes.size());
-  return total_airtime / static_cast<double>(stats.successes);
+  const double total_airtime = lossless_us_[i] * static_cast<double>(s.count);
+  return total_airtime / static_cast<double>(s.successes);
 }
 
 mac::RateIndex SampleRateAdapter::best_rate(Time now) {
+  prune(now);
   // Only rates with at least one success in the window qualify as "best";
   // rates without data are explored through the sampling slots, not adopted
   // blindly (adopting them would make the protocol thrash between stale
@@ -47,10 +48,8 @@ mac::RateIndex SampleRateAdapter::best_rate(Time now) {
   mac::RateIndex best = -1;
   double best_time = std::numeric_limits<double>::infinity();
   for (mac::RateIndex r = mac::slowest_rate(); r <= mac::fastest_rate(); ++r) {
-    auto& stats = stats_[static_cast<std::size_t>(r)];
-    prune(now, stats);
-    if (stats.successes == 0) continue;
-    const double t = avg_tx_time_us(now, r);
+    if (stats(r).successes == 0) continue;
+    const double t = avg_tx_time_us(r);
     if (t < best_time) {
       best_time = t;
       best = r;
@@ -61,8 +60,7 @@ mac::RateIndex SampleRateAdapter::best_rate(Time now) {
   // rate that has not accumulated the failure limit (Bicket's "try the
   // highest rate that hasn't failed four successive times").
   for (mac::RateIndex r = mac::fastest_rate(); r > mac::slowest_rate(); --r) {
-    if (stats_[static_cast<std::size_t>(r)].consecutive_failures <
-        params_.max_consecutive_failures) {
+    if (stats(r).consecutive_failures < params_.max_consecutive_failures) {
       return r;
     }
   }
@@ -70,6 +68,7 @@ mac::RateIndex SampleRateAdapter::best_rate(Time now) {
 }
 
 mac::RateIndex SampleRateAdapter::pick_rate(Time now) {
+  // best_rate() prunes the window at `now`; everything below reads it as is.
   mac::RateIndex best = best_rate(now);
   // Retry chain semantics of the 2005 SampleRate: a failed *sample* falls
   // back to the primary rate, but ordinary retries stay on the primary for
@@ -83,20 +82,19 @@ mac::RateIndex SampleRateAdapter::pick_rate(Time now) {
   // Sampling slot: consider rates other than the best whose lossless time is
   // below the best's average (i.e. that could possibly beat it) and that are
   // not failure-locked.
-  const double best_avg = avg_tx_time_us(now, best);
-  std::vector<mac::RateIndex> candidates;
+  const double best_avg = avg_tx_time_us(best);
+  std::array<mac::RateIndex, mac::kNumRates> candidates{};
+  std::size_t num_candidates = 0;
   for (mac::RateIndex r = mac::slowest_rate(); r <= mac::fastest_rate(); ++r) {
     if (r == best) continue;
-    auto& stats = stats_[static_cast<std::size_t>(r)];
-    prune(now, stats);
-    if (stats.consecutive_failures >= params_.max_consecutive_failures)
+    if (stats(r).consecutive_failures >= params_.max_consecutive_failures)
       continue;
-    if (lossless_tx_time_us(r) >= best_avg) continue;
-    candidates.push_back(r);
+    if (lossless_us_[static_cast<std::size_t>(r)] >= best_avg) continue;
+    candidates[num_candidates++] = r;
   }
-  if (candidates.empty()) return best;
+  if (num_candidates == 0) return best;
   const auto pick = static_cast<std::size_t>(rng_.uniform_int(
-      0, static_cast<std::int64_t>(candidates.size()) - 1));
+      0, static_cast<std::int64_t>(num_candidates) - 1));
   return candidates[pick];
 }
 
@@ -105,21 +103,26 @@ void SampleRateAdapter::on_packet_start(Time /*now*/) { chain_failures_ = 0; }
 void SampleRateAdapter::on_result(Time now, mac::RateIndex rate_used,
                                   bool acked) {
   assert(mac::valid_rate(rate_used));
-  auto& stats = stats_[static_cast<std::size_t>(rate_used)];
-  stats.outcomes.push_back(Outcome{now, acked});
+  // The single FIFO stays time-ordered only if results arrive in time order.
+  assert(window_.empty() || now >= window_.back().when);
+  // No prune here: the next best_rate()/pick_rate() prunes every rate at
+  // its own `now` before reading any statistic.
+  window_.push_back(Outcome{now, rate_used, acked});
+  auto& s = stats(rate_used);
+  ++s.count;
   if (acked) {
-    ++stats.successes;
-    stats.consecutive_failures = 0;
+    ++s.successes;
+    s.consecutive_failures = 0;
     chain_failures_ = 0;
   } else {
-    ++stats.consecutive_failures;
+    ++s.consecutive_failures;
     ++chain_failures_;
   }
-  prune(now, stats);
 }
 
 void SampleRateAdapter::reset() {
-  for (auto& s : stats_) s = RateStats{};
+  window_.clear();
+  stats_.fill(RateStats{});
   packet_counter_ = 0;
   chain_failures_ = 0;
 }

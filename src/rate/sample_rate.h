@@ -43,25 +43,35 @@ class SampleRateAdapter final : public RateAdapter {
   const Params& params() const noexcept { return params_; }
 
  private:
+  /// One attempt in the history window. on_result() times never decrease,
+  /// so a single FIFO across all rates is also time-ordered and pruning
+  /// pops only expired entries.
   struct Outcome {
     Time when;
+    mac::RateIndex rate;
     bool acked;
   };
   struct RateStats {
-    std::deque<Outcome> outcomes;
+    std::size_t count = 0;  ///< Attempts at this rate in the window.
     std::size_t successes = 0;
     int consecutive_failures = 0;
   };
 
-  void prune(Time now, RateStats& stats);
-  /// Average airtime per delivered packet at `r`; lossless airtime when the
-  /// rate has no history (optimism drives initial exploration), +inf when
-  /// everything in the window failed.
-  double avg_tx_time_us(Time now, mac::RateIndex r);
-  double lossless_tx_time_us(mac::RateIndex r) const;
+  /// Drops outcomes older than the window at `now`. A rate whose window
+  /// empties forgets its consecutive failures.
+  void prune(Time now);
+  /// Average airtime per delivered packet at `r` over the (already pruned)
+  /// window; lossless airtime when the rate has no history (optimism drives
+  /// initial exploration), +inf when everything in the window failed.
+  double avg_tx_time_us(mac::RateIndex r) const;
+  RateStats& stats(mac::RateIndex r) {
+    return stats_[static_cast<std::size_t>(r)];
+  }
 
   Params params_;
   util::Rng rng_;
+  std::array<double, mac::kNumRates> lossless_us_{};  ///< Retry-0 airtime.
+  std::deque<Outcome> window_;
   std::array<RateStats, mac::kNumRates> stats_{};
   int packet_counter_ = 0;
   int chain_failures_ = 0;  ///< Failures within the current retry chain.

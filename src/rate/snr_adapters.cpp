@@ -2,17 +2,12 @@
 
 #include <cassert>
 
-#include "channel/snr_model.h"
-
 namespace sh::rate {
 
-Rbar::Rbar(Params params) : params_(params) {}
+Rbar::Rbar(Params params) : params_(params), model_(params.payload_bytes) {}
 
 mac::RateIndex Rbar::pick_rate(Time /*now*/) {
-  if (!have_snr_) return mac::slowest_rate();
-  return channel::best_rate_for_snr(last_snr_db_ + params_.calibration_bias_db,
-                                    params_.target_delivery,
-                                    params_.payload_bytes);
+  return have_snr_ ? rate_ : mac::slowest_rate();
 }
 
 void Rbar::on_result(Time /*now*/, mac::RateIndex /*rate_used*/,
@@ -21,6 +16,13 @@ void Rbar::on_result(Time /*now*/, mac::RateIndex /*rate_used*/,
 }
 
 void Rbar::on_snr(Time /*now*/, double snr_db) {
+  // Replay reports one trace slot's SNR for every packet in the slot, so
+  // the mapping is redone only when the input double changes (exact: the
+  // same input always maps to the same rate).
+  if (!have_snr_ || snr_db != last_snr_db_) {
+    rate_ = model_.best_rate(snr_db + params_.calibration_bias_db,
+                             params_.target_delivery);
+  }
   last_snr_db_ = snr_db;
   have_snr_ = true;
 }
@@ -30,7 +32,9 @@ void Rbar::reset() {
   last_snr_db_ = 0.0;
 }
 
-Charm::Charm(Params params) : params_(params) { assert(params_.window > 0); }
+Charm::Charm(Params params) : params_(params), model_(params.payload_bytes) {
+  assert(params_.window > 0);
+}
 
 void Charm::prune(Time now) {
   while (!history_.empty() && now - history_.front().first > params_.window) {
@@ -47,9 +51,8 @@ double Charm::mean_snr_db() const noexcept {
 mac::RateIndex Charm::pick_rate(Time now) {
   prune(now);
   if (history_.empty()) return mac::slowest_rate();
-  return channel::best_rate_for_snr(
-      mean_snr_db() + params_.calibration_bias_db, params_.target_delivery,
-      params_.payload_bytes);
+  return model_.best_rate(mean_snr_db() + params_.calibration_bias_db,
+                          params_.target_delivery);
 }
 
 void Charm::on_result(Time /*now*/, mac::RateIndex /*rate_used*/,

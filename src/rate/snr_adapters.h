@@ -16,6 +16,7 @@
 
 #include <deque>
 
+#include "channel/snr_model.h"
 #include "rate/adapter.h"
 
 namespace sh::rate {
@@ -42,7 +43,9 @@ class Rbar final : public RateAdapter {
 
  private:
   Params params_;
+  channel::DeliveryModel model_;  ///< At params_.payload_bytes.
   double last_snr_db_ = 0.0;
+  mac::RateIndex rate_ = mac::slowest_rate();  ///< Mapping of last_snr_db_.
   bool have_snr_ = false;
 };
 
@@ -72,6 +75,7 @@ class Charm final : public RateAdapter {
   void prune(Time now);
 
   Params params_;
+  channel::DeliveryModel model_;  ///< At params_.payload_bytes.
   std::deque<std::pair<Time, double>> history_;
   double sum_snr_ = 0.0;
 };

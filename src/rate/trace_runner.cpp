@@ -13,7 +13,8 @@ namespace {
 /// attempt consults the adapter, charges airtime (with growing backoff), and
 /// reports its fate. Returns whether any attempt delivered the packet.
 bool attempt_packet(RateAdapter& adapter, const channel::PacketFateTrace& trace,
-                    const RunConfig& config, Time& t, util::Rng& floor_rng) {
+                    const RunConfig& config, const mac::AirtimeTable& airtime,
+                    Time& t, util::Rng& floor_rng) {
   if (config.provide_snr) {
     adapter.on_snr(t, trace.snr_db(std::max<Time>(0, t - config.snr_lag)));
   }
@@ -23,7 +24,7 @@ bool attempt_packet(RateAdapter& adapter, const channel::PacketFateTrace& trace,
     const bool delivered = trace.delivered(t, r) &&
                            !floor_rng.bernoulli(config.iid_loss_floor);
     adapter.on_result(t, r, delivered);
-    t += mac::attempt_duration(r, config.payload_bytes, retry);
+    t += airtime.attempt(r, retry);
     if (delivered) return true;
   }
   return false;
@@ -36,13 +37,14 @@ RunResult run_trace(RateAdapter& adapter, const channel::PacketFateTrace& trace,
   assert(!trace.empty());
   const Time end = trace.duration();
   RunResult result;
+  const mac::AirtimeTable airtime(config.payload_bytes, config.link_retries);
   util::Rng floor_rng(config.floor_seed);
   Time t = 0;
 
   if (config.workload == Workload::kUdp) {
     while (t < end) {
       ++result.attempts;
-      if (attempt_packet(adapter, trace, config, t, floor_rng))
+      if (attempt_packet(adapter, trace, config, airtime, t, floor_rng))
         ++result.delivered;
     }
   } else {
@@ -58,7 +60,7 @@ RunResult run_trace(RateAdapter& adapter, const channel::PacketFateTrace& trace,
       for (int i = 0; i < window && t < end; ++i) {
         ++sent;
         ++result.attempts;
-        if (attempt_packet(adapter, trace, config, t, floor_rng)) {
+        if (attempt_packet(adapter, trace, config, airtime, t, floor_rng)) {
           ++delivered_in_round;
           ++result.delivered;
         }

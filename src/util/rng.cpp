@@ -13,33 +13,12 @@ std::uint64_t splitmix64(std::uint64_t& x) noexcept {
   return z ^ (z >> 31);
 }
 
-std::uint64_t rotl(std::uint64_t x, int k) noexcept {
-  return (x << k) | (x >> (64 - k));
-}
-
 }  // namespace
 
 void Rng::reseed(std::uint64_t seed) noexcept {
   std::uint64_t s = seed;
   for (auto& word : state_) word = splitmix64(s);
   has_cached_normal_ = false;
-}
-
-std::uint64_t Rng::next() noexcept {
-  const std::uint64_t result = rotl(state_[0] + state_[3], 23) + state_[0];
-  const std::uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = rotl(state_[3], 45);
-  return result;
-}
-
-double Rng::uniform() noexcept {
-  // 53 random mantissa bits -> uniform in [0, 1).
-  return static_cast<double>(next() >> 11) * 0x1.0p-53;
 }
 
 double Rng::uniform(double lo, double hi) noexcept {
@@ -86,8 +65,6 @@ double Rng::exponential(double mean) noexcept {
   // 1 - uniform() is in (0, 1], so the log argument is never zero.
   return -mean * std::log(1.0 - uniform());
 }
-
-bool Rng::bernoulli(double p) noexcept { return uniform() < p; }
 
 Rng Rng::fork() noexcept {
   return Rng{next() ^ 0xD1B54A32D192ED03ULL};

@@ -32,7 +32,10 @@ class Rng {
   }
 
   /// Uniform double in [0, 1).
-  double uniform() noexcept;
+  double uniform() noexcept {
+    // 53 random mantissa bits -> uniform in [0, 1).
+    return static_cast<double>(next() >> 11) * 0x1.0p-53;
+  }
   /// Uniform double in [lo, hi).
   double uniform(double lo, double hi) noexcept;
   /// Uniform integer in [lo, hi] (inclusive). Requires lo <= hi.
@@ -44,7 +47,7 @@ class Rng {
   /// Exponential with the given mean. Requires mean > 0.
   double exponential(double mean) noexcept;
   /// Bernoulli trial with probability p of returning true.
-  bool bernoulli(double p) noexcept;
+  bool bernoulli(double p) noexcept { return uniform() < p; }
 
   /// Derive an independent child generator (for per-entity streams). The
   /// child's stream is decorrelated from the parent's by splitmix hashing.
@@ -59,7 +62,23 @@ class Rng {
                                    std::uint64_t stream) noexcept;
 
  private:
-  std::uint64_t next() noexcept;
+  static constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
+    return (x << k) | (x >> (64 - k));
+  }
+
+  // Defined in the header: trace replay draws once per attempt, and an
+  // out-of-line call costs about as much as the xoshiro step itself.
+  std::uint64_t next() noexcept {
+    const std::uint64_t result = rotl(state_[0] + state_[3], 23) + state_[0];
+    const std::uint64_t t = state_[1] << 17;
+    state_[2] ^= state_[0];
+    state_[3] ^= state_[1];
+    state_[1] ^= state_[2];
+    state_[0] ^= state_[3];
+    state_[2] ^= t;
+    state_[3] = rotl(state_[3], 45);
+    return result;
+  }
 
   std::array<std::uint64_t, 4> state_{};
   double cached_normal_ = 0.0;

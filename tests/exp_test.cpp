@@ -297,7 +297,8 @@ TEST(SweepRunnerTest, SeedsAreUniquePerRunAndScheduleIndependent) {
 TEST(SweepRunnerTest, JsonByteIdenticalAcrossThreadCounts) {
   std::vector<SweepPoint> points(16);
   for (int i = 0; i < 16; ++i) {
-    points[static_cast<std::size_t>(i)].label = "p" + std::to_string(i);
+    points[static_cast<std::size_t>(i)].label = 'p';
+    points[static_cast<std::size_t>(i)].label += std::to_string(i);
     points[static_cast<std::size_t>(i)].params = {
         {"index", std::to_string(i)}};
     points[static_cast<std::size_t>(i)].repetitions = 3;
