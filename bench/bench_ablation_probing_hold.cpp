@@ -3,6 +3,8 @@
 // refills with samples from the settled channel. This sweeps the hold.
 #include <cstdio>
 #include <iostream>
+#include <iterator>
+#include <vector>
 
 #include "experiment_config.h"
 #include "topo/adaptive_prober.h"
@@ -16,21 +18,26 @@ int main() {
       "=== Ablation: adaptive prober hold-after-stop (mixed 60 s traces) "
       "===\n\n");
 
-  util::Table table({"hold (ms)", "mean abs error", "probes sent"});
-  for (const int hold_ms : {0, 250, 500, 1000, 2000, 4000}) {
+  // Each trace is generated once and probed under every hold; every hold's
+  // stats receive the traces in seed order.
+  const int holds_ms[] = {0, 250, 500, 1000, 2000, 4000};
+  struct HoldStats {
     util::RunningStats error, probes;
-    for (std::uint64_t seed = 0; seed < 8; ++seed) {
-      channel::TraceGeneratorConfig cfg = topo_config(false, 800 + seed, 0);
-      cfg.scenario = sim::MobilityScenario{{
-          {15 * kSecond, sim::MotionState::kStatic, 0.0},
-          {15 * kSecond, sim::MotionState::kWalking, 1.4},
-          {15 * kSecond, sim::MotionState::kStatic, 0.0},
-          {15 * kSecond, sim::MotionState::kWalking, 1.4},
-      }};
-      const auto series =
-          topo::ProbeSeries::from_trace(channel::generate_trace(cfg));
+  };
+  std::vector<HoldStats> stats(std::size(holds_ms));
+  for (std::uint64_t seed = 0; seed < 8; ++seed) {
+    channel::TraceGeneratorConfig cfg = topo_config(false, 800 + seed, 0);
+    cfg.scenario = sim::MobilityScenario{{
+        {15 * kSecond, sim::MotionState::kStatic, 0.0},
+        {15 * kSecond, sim::MotionState::kWalking, 1.4},
+        {15 * kSecond, sim::MotionState::kStatic, 0.0},
+        {15 * kSecond, sim::MotionState::kWalking, 1.4},
+    }};
+    const auto series =
+        topo::ProbeSeries::from_trace(channel::generate_trace(cfg));
+    for (std::size_t h = 0; h < stats.size(); ++h) {
       topo::AdaptiveProber::Params params;
-      params.hold_after_stop = hold_ms * kMillisecond;
+      params.hold_after_stop = holds_ms[h] * kMillisecond;
       topo::AdaptiveProber prober(
           [&series](Time t) {
             return series.moving(
@@ -38,12 +45,17 @@ int main() {
           },
           params);
       const auto schedule = prober.schedule(series.duration());
-      error.add(topo::series_error(
+      stats[h].error.add(topo::series_error(
           topo::estimate_over_schedule(series, schedule)));
-      probes.add(static_cast<double>(schedule.size()));
+      stats[h].probes.add(static_cast<double>(schedule.size()));
     }
-    table.add_row({std::to_string(hold_ms), util::fmt(error.mean(), 3),
-                   util::fmt(probes.mean(), 0)});
+  }
+
+  util::Table table({"hold (ms)", "mean abs error", "probes sent"});
+  for (std::size_t h = 0; h < stats.size(); ++h) {
+    table.add_row({std::to_string(holds_ms[h]),
+                   util::fmt(stats[h].error.mean(), 3),
+                   util::fmt(stats[h].probes.mean(), 0)});
   }
   table.print(std::cout);
 

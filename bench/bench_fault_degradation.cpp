@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "exp/thread_pool.h"
 #include "experiment_config.h"
 
 using namespace sh;
@@ -33,6 +34,11 @@ std::string fmt_rate(double r) {
   char buf[16];
   std::snprintf(buf, sizeof buf, "%.2f", r);
   return buf;
+}
+
+/// Pre-pass slot of the trace replayed by every (mobility, repetition) run.
+std::size_t slot_index(bool mobile, int repetition) {
+  return static_cast<std::size_t>((mobile ? kTracesPerPoint : 0) + repetition);
 }
 
 }  // namespace
@@ -74,39 +80,64 @@ int main(int argc, char** argv) {
     }
   }
 
+  // Everything that depends on the trace alone is computed once per
+  // (mobility, repetition) before the sweep: the trace, every hint-free
+  // protocol, the lagged-truth HintAware of the fault-free cell and the
+  // degradation floor. The run function reads these slots and replays only
+  // HintAware under its cell's faults, the one result the cell changes.
+  struct SharedTrace {
+    channel::PacketFateTrace trace;
+    exp::MetricSample metrics;
+  };
+  rate::RunConfig run;
+  run.workload = rate::Workload::kTcp;
+  std::vector<SharedTrace> slots(2 * kTracesPerPoint);
+  {
+    exp::ThreadPool pool(opts.threads);
+    pool.parallel_for(slots.size(), [&slots, &run](std::size_t i) {
+      const bool mobile = i >= static_cast<std::size_t>(kTracesPerPoint);
+      const int repetition = static_cast<int>(i % kTracesPerPoint);
+      channel::TraceGeneratorConfig cfg;
+      cfg.env = channel::Environment::kOffice;
+      cfg.scenario = mobile ? sim::MobilityScenario::all_walking(20 * kSecond)
+                            : sim::MobilityScenario::all_static(20 * kSecond);
+      // Repetition-derived trace seeds: every fault level replays the SAME
+      // traces, so the drop-rate axis is a paired comparison and the
+      // monotonicity check is not washed out by trace-to-trace variance.
+      cfg.seed = 77'000 + static_cast<std::uint64_t>(repetition) * 17;
+      cfg.snr_offset_db = placement_offset_db(repetition);
+      SharedTrace& slot = slots[i];
+      slot.trace = channel::generate_trace(cfg);
+      slot.metrics = protocol_metrics(slot.trace, run);
+      // The degradation floor is default-parameter SampleRate — exactly
+      // what a HintAware adapter becomes once its feed dies (not the
+      // post-facto best-window variant reported as sample_mbps).
+      rate::SampleRateAdapter baseline;
+      slot.metrics.set(
+          "baseline_mbps",
+          rate::run_trace(baseline, slot.trace, run).throughput_mbps);
+    });
+  }
+
   exp::SweepRunner runner({"fault_degradation", 77'000, opts.threads});
   const auto result = runner.run(
-      points, [&cells](const exp::SweepPoint&, const exp::RunContext& ctx) {
+      points,
+      [&cells, &slots, &run](const exp::SweepPoint&,
+                             const exp::RunContext& ctx) {
         const Cell& cell = cells[ctx.point_index];
-        channel::TraceGeneratorConfig cfg;
-        cfg.env = channel::Environment::kOffice;
-        cfg.scenario = cell.mobile
-                           ? sim::MobilityScenario::all_walking(20 * kSecond)
-                           : sim::MobilityScenario::all_static(20 * kSecond);
-        // Repetition-derived trace seeds: every fault level replays the SAME
-        // traces, so the drop-rate axis is a paired comparison and the
-        // monotonicity check is not washed out by trace-to-trace variance.
-        cfg.seed = 77'000 + static_cast<std::uint64_t>(ctx.repetition) * 17;
-        cfg.snr_offset_db = placement_offset_db(ctx.repetition);
-        const auto trace = channel::generate_trace(cfg);
-        rate::RunConfig run;
-        run.workload = rate::Workload::kTcp;
+        const SharedTrace& slot =
+            slots[slot_index(cell.mobile, ctx.repetition)];
         fault::FaultConfig fc;
         fc.hint.drop_rate = cell.drop_rate;
         fc.hint.extra_staleness = seconds(cell.staleness_ms / 1000.0);
-        exp::MetricSample sample =
-            fc.is_null()
-                ? protocol_metrics(trace, run)
-                : protocol_metrics(trace, run,
-                                   faulty_truth_query(trace, fc,
-                                                      ctx.fault_seed,
-                                                      kHintMaxAge));
-        // The degradation floor is default-parameter SampleRate — exactly
-        // what a HintAware adapter becomes once its feed dies (not the
-        // post-facto best-window variant reported as sample_mbps).
-        rate::SampleRateAdapter baseline;
-        sample.set("baseline_mbps",
-                   rate::run_trace(baseline, trace, run).throughput_mbps);
+        exp::MetricSample sample = slot.metrics;
+        if (!fc.is_null()) {
+          rate::HintAwareRateAdapter hint(
+              faulty_truth_query(slot.trace, fc, ctx.fault_seed, kHintMaxAge),
+              util::Rng(42));
+          sample.set("hint_mbps",
+                     rate::run_trace(hint, slot.trace, run).throughput_mbps);
+        }
         const double* hint = sample.find("hint_mbps");
         const double* base = sample.find("baseline_mbps");
         // A trace that delivers nothing under the baseline cannot be

@@ -4,8 +4,7 @@
 #include <cstdio>
 #include <iostream>
 
-#include "experiment_config.h"
-#include "topo/probing_eval.h"
+#include "probing_experiment.h"
 
 using namespace sh;
 using namespace sh::bench;
@@ -16,20 +15,12 @@ int main() {
       "(20 x 180 s stationary traces; 10-probe windows; error vs the dense "
       "200/s ground truth)\n\n");
 
-  const double rates[] = {0.1, 0.2, 0.5, 1.0, 2.0, 5.0, 10.0};
+  const auto& rates = probing_rates();
+  const auto stats = probing_error_by_rate(false, rates);
   util::Table table({"probes/s", "mean abs error", "stddev"});
-  for (const double rate : rates) {
-    util::RunningStats error, spread;
-    for (std::uint64_t seed = 0; seed < 20; ++seed) {
-      const auto trace =
-          channel::generate_trace(topo_config(false, 700 + seed, 180 * kSecond));
-      const auto series = topo::ProbeSeries::from_trace(trace);
-      const auto result = topo::probing_error(series, rate);
-      error.add(result.mean_abs_error);
-      spread.add(result.stddev);
-    }
-    table.add_row({util::fmt(rate, 1), util::fmt(error.mean(), 3),
-                   util::fmt(spread.mean(), 3)});
+  for (std::size_t r = 0; r < rates.size(); ++r) {
+    table.add_row({util::fmt(rates[r], 1), util::fmt(stats[r].error.mean(), 3),
+                   util::fmt(stats[r].spread.mean(), 3)});
   }
   table.print(std::cout);
   std::printf(

@@ -5,8 +5,7 @@
 #include <cstdio>
 #include <iostream>
 
-#include "experiment_config.h"
-#include "topo/probing_eval.h"
+#include "probing_experiment.h"
 
 using namespace sh;
 using namespace sh::bench;
@@ -16,40 +15,26 @@ int main() {
       "=== Figure 4-3: estimation error vs probing rate (mobile) ===\n"
       "(20 x 180 s walking traces; 10-probe windows)\n\n");
 
-  const double rates[] = {0.1, 0.2, 0.5, 1.0, 2.0, 5.0, 10.0};
+  const auto& rates = probing_rates();
+  const auto stats = probing_error_by_rate(true, rates);
   util::Table table({"probes/s", "mean abs error", "stddev"});
   double err_half = 0.0, err_ten = 0.0;
-  for (const double rate : rates) {
-    util::RunningStats error, spread;
-    for (std::uint64_t seed = 0; seed < 20; ++seed) {
-      const auto trace =
-          channel::generate_trace(topo_config(true, 700 + seed, 180 * kSecond));
-      const auto series = topo::ProbeSeries::from_trace(trace);
-      const auto result = topo::probing_error(series, rate);
-      error.add(result.mean_abs_error);
-      spread.add(result.stddev);
-    }
-    if (rate == 0.5) err_half = error.mean();
-    if (rate == 10.0) err_ten = error.mean();
-    table.add_row({util::fmt(rate, 1), util::fmt(error.mean(), 3),
-                   util::fmt(spread.mean(), 3)});
+  for (std::size_t r = 0; r < rates.size(); ++r) {
+    if (rates[r] == 0.5) err_half = stats[r].error.mean();
+    if (rates[r] == 10.0) err_ten = stats[r].error.mean();
+    table.add_row({util::fmt(rates[r], 1), util::fmt(stats[r].error.mean(), 3),
+                   util::fmt(stats[r].spread.mean(), 3)});
   }
   table.print(std::cout);
 
   // The factor-of-20 comparison against the static case (Fig 4-2 config).
-  util::RunningStats static_half;
-  for (std::uint64_t seed = 0; seed < 20; ++seed) {
-    const auto trace =
-        channel::generate_trace(topo_config(false, 700 + seed, 180 * kSecond));
-    static_half.add(
-        topo::probing_error(topo::ProbeSeries::from_trace(trace), 0.5)
-            .mean_abs_error);
-  }
+  const double static_half =
+      probing_error_by_rate(false, {0.5}).front().error.mean();
   std::printf(
       "\nMobile at 0.5 probes/s: %.3f error; static at 0.5 probes/s: %.3f.\n"
       "Even at 10 probes/s (20x the static rate) the mobile error is %.3f — "
       "matching the paper's finding that mobile links need a factor ~20 more "
       "probing for comparable link-quality accuracy.\n",
-      err_half, static_half.mean(), err_ten);
+      err_half, static_half, err_ten);
   return 0;
 }

@@ -1,6 +1,8 @@
 // Tests for the 802.11a rate table and airtime math.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "mac/airtime.h"
 #include "mac/rates.h"
 
@@ -144,12 +146,17 @@ TEST(AirtimeTest, ExpectedTxTimeHalfProbability) {
 }
 
 // Property sweep: a slower rate with perfect delivery can beat a faster rate
-// with poor delivery — the SampleRate decision core.
+// with poor delivery — the SampleRate decision core. GoogleTest names each
+// case by a byte dump of the struct, so what would be padding is spelled out
+// as zeroed members: the names must not carry uninitialised bytes.
 struct TxTimeCase {
   RateIndex fast;
+  std::int32_t zero0 = 0;
   double p_fast;
   RateIndex slow;
+  std::int32_t zero1 = 0;
 };
+static_assert(sizeof(TxTimeCase) == 24, "no implicit padding");
 class ExpectedTxTimeCrossover : public ::testing::TestWithParam<TxTimeCase> {};
 
 TEST_P(ExpectedTxTimeCrossover, LossyFastRateLosesToCleanSlowRate) {
@@ -160,9 +167,11 @@ TEST_P(ExpectedTxTimeCrossover, LossyFastRateLosesToCleanSlowRate) {
 
 INSTANTIATE_TEST_SUITE_P(
     Crossovers, ExpectedTxTimeCrossover,
-    ::testing::Values(TxTimeCase{7, 0.10, 5}, TxTimeCase{7, 0.20, 4},
-                      TxTimeCase{6, 0.15, 4}, TxTimeCase{5, 0.20, 3},
-                      TxTimeCase{4, 0.25, 2}));
+    ::testing::Values(TxTimeCase{.fast = 7, .p_fast = 0.10, .slow = 5},
+                      TxTimeCase{.fast = 7, .p_fast = 0.20, .slow = 4},
+                      TxTimeCase{.fast = 6, .p_fast = 0.15, .slow = 4},
+                      TxTimeCase{.fast = 5, .p_fast = 0.20, .slow = 3},
+                      TxTimeCase{.fast = 4, .p_fast = 0.25, .slow = 2}));
 
 }  // namespace
 }  // namespace sh::mac
