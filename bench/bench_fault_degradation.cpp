@@ -20,6 +20,7 @@
 
 #include "exp/thread_pool.h"
 #include "experiment_config.h"
+#include "sweep_cli.h"
 
 using namespace sh;
 using namespace sh::bench;

@@ -12,6 +12,7 @@
 #include <iostream>
 
 #include "experiment_config.h"
+#include "sweep_cli.h"
 
 using namespace sh;
 using namespace sh::bench;

@@ -13,6 +13,7 @@
 
 #include "channel/trace_stats.h"
 #include "experiment_config.h"
+#include "sweep_cli.h"
 #include "util/table.h"
 
 using namespace sh;

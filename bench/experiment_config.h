@@ -6,12 +6,9 @@
 // reproducible.
 #pragma once
 
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <fstream>
+#include <algorithm>
 #include <memory>
-#include <string>
+#include <utility>
 #include <vector>
 
 #include "channel/trace_generator.h"
@@ -106,6 +103,36 @@ inline rate::HintAwareRateAdapter::HintQuery faulty_truth_query(
       [feed](Time t) { return feed->query(t); }};
 }
 
+/// One trace's throughput (Mbit/s) under each of the six protocols.
+struct ProtocolThroughput {
+  double hint = 0.0, rapid = 0.0, sample = 0.0, rraa = 0.0, rbar = 0.0,
+         charm = 0.0;
+};
+
+/// The six-protocol replay, in one fixed order. Only the hint-aware
+/// adapter sees `hint_query` — a MovingQuery, or a (possibly faulty,
+/// possibly nullopt-answering) HintQuery; faults live in the hint path, not
+/// the channel, so the baselines are untouched and the gap to `sample` is
+/// exactly the cost of degraded hints.
+template <typename Query>
+ProtocolThroughput replay_protocols(const channel::PacketFateTrace& trace,
+                                    const rate::RunConfig& run,
+                                    Query hint_query) {
+  ProtocolThroughput out;
+  rate::HintAwareRateAdapter hint(std::move(hint_query), util::Rng(42));
+  out.hint = rate::run_trace(hint, trace, run).throughput_mbps;
+  rate::RapidSample rapid;
+  out.rapid = rate::run_trace(rapid, trace, run).throughput_mbps;
+  out.sample = best_samplerate_mbps(trace, run);
+  rate::Rraa rraa;
+  out.rraa = rate::run_trace(rraa, trace, run).throughput_mbps;
+  rate::Rbar rbar;
+  out.rbar = rate::run_trace(rbar, trace, run).throughput_mbps;
+  rate::Charm charm;
+  out.charm = rate::run_trace(charm, trace, run).throughput_mbps;
+  return out;
+}
+
 /// Mean throughput of each protocol over a batch of traces.
 struct ProtocolMeans {
   util::RunningStats hint, rapid, sample, rraa, rbar, charm;
@@ -113,96 +140,41 @@ struct ProtocolMeans {
 
 inline void run_all_protocols(const channel::PacketFateTrace& trace,
                               const rate::RunConfig& run, ProtocolMeans& out) {
-  rate::HintAwareRateAdapter hint(lagged_truth_query(trace), util::Rng(42));
-  out.hint.add(rate::run_trace(hint, trace, run).throughput_mbps);
-  rate::RapidSample rapid;
-  out.rapid.add(rate::run_trace(rapid, trace, run).throughput_mbps);
-  out.sample.add(best_samplerate_mbps(trace, run));
-  rate::Rraa rraa;
-  out.rraa.add(rate::run_trace(rraa, trace, run).throughput_mbps);
-  rate::Rbar rbar;
-  out.rbar.add(rate::run_trace(rbar, trace, run).throughput_mbps);
-  rate::Charm charm;
-  out.charm.add(rate::run_trace(charm, trace, run).throughput_mbps);
+  const auto t = replay_protocols(trace, run, lagged_truth_query(trace));
+  out.hint.add(t.hint);
+  out.rapid.add(t.rapid);
+  out.sample.add(t.sample);
+  out.rraa.add(t.rraa);
+  out.rbar.add(t.rbar);
+  out.charm.add(t.charm);
 }
 
-/// One repetition's throughput of every protocol, as sweep-engine metrics.
-/// Runs the same adapters in the same order as run_all_protocols, so a
-/// ported bench aggregates the exact numbers its serial version printed.
-inline exp::MetricSample protocol_metrics(const channel::PacketFateTrace& trace,
-                                          const rate::RunConfig& run) {
+/// One repetition's throughput of every protocol, as sweep-engine metrics
+/// (the same replay run_all_protocols aggregates, so a ported bench sees
+/// the exact numbers its serial version printed).
+inline exp::MetricSample protocol_metrics(const ProtocolThroughput& t) {
   exp::MetricSample sample;
-  rate::HintAwareRateAdapter hint(lagged_truth_query(trace), util::Rng(42));
-  sample.set("hint_mbps", rate::run_trace(hint, trace, run).throughput_mbps);
-  rate::RapidSample rapid;
-  sample.set("rapid_mbps", rate::run_trace(rapid, trace, run).throughput_mbps);
-  sample.set("sample_mbps", best_samplerate_mbps(trace, run));
-  rate::Rraa rraa;
-  sample.set("rraa_mbps", rate::run_trace(rraa, trace, run).throughput_mbps);
-  rate::Rbar rbar;
-  sample.set("rbar_mbps", rate::run_trace(rbar, trace, run).throughput_mbps);
-  rate::Charm charm;
-  sample.set("charm_mbps", rate::run_trace(charm, trace, run).throughput_mbps);
+  sample.set("hint_mbps", t.hint);
+  sample.set("rapid_mbps", t.rapid);
+  sample.set("sample_mbps", t.sample);
+  sample.set("rraa_mbps", t.rraa);
+  sample.set("rbar_mbps", t.rbar);
+  sample.set("charm_mbps", t.charm);
   return sample;
 }
 
-/// protocol_metrics with the hint adapter driven by an explicit (possibly
-/// faulty, possibly nullopt-answering) query. Baseline protocols are
-/// untouched — faults live in the hint path, not the channel — so the gap
-/// to `sample_mbps` is exactly the cost of degraded hints.
+inline exp::MetricSample protocol_metrics(const channel::PacketFateTrace& trace,
+                                          const rate::RunConfig& run) {
+  return protocol_metrics(
+      replay_protocols(trace, run, lagged_truth_query(trace)));
+}
+
+/// protocol_metrics with the hint adapter driven by an explicit hint query.
 inline exp::MetricSample protocol_metrics(
     const channel::PacketFateTrace& trace, const rate::RunConfig& run,
     rate::HintAwareRateAdapter::HintQuery hint_query) {
-  exp::MetricSample sample;
-  rate::HintAwareRateAdapter hint(std::move(hint_query), util::Rng(42));
-  sample.set("hint_mbps", rate::run_trace(hint, trace, run).throughput_mbps);
-  rate::RapidSample rapid;
-  sample.set("rapid_mbps", rate::run_trace(rapid, trace, run).throughput_mbps);
-  sample.set("sample_mbps", best_samplerate_mbps(trace, run));
-  rate::Rraa rraa;
-  sample.set("rraa_mbps", rate::run_trace(rraa, trace, run).throughput_mbps);
-  rate::Rbar rbar;
-  sample.set("rbar_mbps", rate::run_trace(rbar, trace, run).throughput_mbps);
-  rate::Charm charm;
-  sample.set("charm_mbps", rate::run_trace(charm, trace, run).throughput_mbps);
-  return sample;
-}
-
-/// CLI options shared by the engine-backed benches: `--threads N` picks the
-/// pool width (0 = hardware concurrency; the printed numbers are identical
-/// at any width) and `--json FILE` additionally writes the structured
-/// sh.sweep.v1 results.
-struct SweepCliOptions {
-  int threads = 0;
-  std::string json_path;
-};
-
-inline SweepCliOptions parse_sweep_cli(int argc, char** argv) {
-  SweepCliOptions opts;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      opts.threads = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      opts.json_path = argv[++i];
-    } else {
-      std::fprintf(stderr, "usage: %s [--threads N] [--json FILE]\n", argv[0]);
-      std::exit(2);
-    }
-  }
-  return opts;
-}
-
-/// Writes the JSON results file if `--json` was given; timing goes to
-/// stderr so stdout stays byte-stable across machines and thread counts.
-inline void finish_sweep(const exp::SweepResult& result,
-                         const SweepCliOptions& opts) {
-  if (!opts.json_path.empty()) {
-    std::ofstream os(opts.json_path);
-    result.write_json(os);
-  }
-  std::fprintf(stderr, "[sweep %s: %llu runs in %.2fs]\n", result.name.c_str(),
-               static_cast<unsigned long long>(result.total_runs),
-               result.wall_seconds);
+  return protocol_metrics(
+      replay_protocols(trace, run, std::move(hint_query)));
 }
 
 }  // namespace sh::bench

@@ -64,9 +64,22 @@ double FadingProcess::gain_db(double tau, const RicianMix& mix) const noexcept {
   return db < kGainFloorDb ? kGainFloorDb : db;
 }
 
-void FadingProcess::compose_gain_n(std::size_t n, const RicianMix& mix,
-                                   double* out,
-                                   BlockScratch& scratch) const noexcept {
+void FadingProcess::gain_db_n(const double* tau, std::size_t n,
+                              const RicianMix& mix, double* out,
+                              BlockScratch& scratch) const {
+  scratch.gi.assign(n, 0.0);
+  scratch.gq.assign(n, 0.0);
+  scratch.ang.resize(n);
+  scratch.sin_v.resize(n);
+  scratch.cos_v.resize(n);
+  for (const auto& p : paths_) {
+    util::detmath::fade_path_accumulate_n(tau, n, p.omega, p.phase_i,
+                                          p.phase_q, scratch.gi.data(),
+                                          scratch.gq.data());
+  }
+  double* ang = scratch.ang.data();
+  for (std::size_t k = 0; k < n; ++k) ang[k] = kTwoPi * tau[k] + los_phase_;
+  util::detmath::sincos_n(ang, n, scratch.sin_v.data(), scratch.cos_v.data());
   // Tail of gain_db after the scattered sums: identical expression shapes,
   // element by element (the project targets a no-FMA baseline ISA, so plain
   // mul/add here can never be contracted differently from the scalar path).
@@ -87,78 +100,6 @@ void FadingProcess::compose_gain_n(std::size_t n, const RicianMix& mix,
     const double db = 10.0 * std::log10(power);
     out[k] = db < kGainFloorDb ? kGainFloorDb : db;
   }
-}
-
-void FadingProcess::gain_db_n(const double* tau, std::size_t n,
-                              const RicianMix& mix, double* out,
-                              BlockScratch& scratch) const {
-  scratch.gi.assign(n, 0.0);
-  scratch.gq.assign(n, 0.0);
-  scratch.ang.resize(n);
-  scratch.sin_v.resize(n);
-  scratch.cos_v.resize(n);
-  for (const auto& p : paths_) {
-    util::detmath::fade_path_accumulate_n(tau, n, p.omega, p.phase_i,
-                                          p.phase_q, scratch.gi.data(),
-                                          scratch.gq.data());
-  }
-  double* ang = scratch.ang.data();
-  for (std::size_t k = 0; k < n; ++k) ang[k] = kTwoPi * tau[k] + los_phase_;
-  util::detmath::sincos_n(ang, n, scratch.sin_v.data(), scratch.cos_v.data());
-  compose_gain_n(n, mix, out, scratch);
-}
-
-void FadingProcess::gain_db_n_fast(const double* tau, std::size_t n,
-                                   const RicianMix& mix, double* out,
-                                   BlockScratch& scratch) const {
-  if (n == 0) return;
-  const std::size_t np = paths_.size();
-  scratch.gi.resize(n);
-  scratch.gq.resize(n);
-  scratch.sin_v.resize(n);
-  scratch.cos_v.resize(n);
-  // 2*np rotators: lanes [0, np) track cos(omega*tau + phase_i) for gi,
-  // lanes [np, 2*np) track the phase_q set for gq. Every lane is seeded
-  // exactly (dsincos at tau[0]) and stepped by the first tau difference —
-  // within one mobility/Doppler span tau is affine in the slot index, so
-  // the only divergence from the exact path is the rotation round-off.
-  scratch.rot_c.resize(2 * np);
-  scratch.rot_s.resize(2 * np);
-  scratch.rot_dc.resize(2 * np);
-  scratch.rot_ds.resize(2 * np);
-  const double dtau = n >= 2 ? tau[1] - tau[0] : 0.0;
-  for (std::size_t p = 0; p < np; ++p) {
-    const double theta = paths_[p].omega * tau[0];
-    util::detmath::dsincos(theta + paths_[p].phase_i, scratch.rot_s[p],
-                           scratch.rot_c[p]);
-    util::detmath::dsincos(theta + paths_[p].phase_q, scratch.rot_s[np + p],
-                           scratch.rot_c[np + p]);
-    double step_s = 0.0;
-    double step_c = 1.0;
-    util::detmath::dsincos(paths_[p].omega * dtau, step_s, step_c);
-    scratch.rot_dc[p] = step_c;
-    scratch.rot_ds[p] = step_s;
-    scratch.rot_dc[np + p] = step_c;
-    scratch.rot_ds[np + p] = step_s;
-  }
-  util::detmath::rotator_sum_block(scratch.rot_c.data(), scratch.rot_s.data(),
-                                   scratch.rot_dc.data(), scratch.rot_ds.data(),
-                                   np, n, scratch.gi.data());
-  util::detmath::rotator_sum_block(
-      scratch.rot_c.data() + np, scratch.rot_s.data() + np,
-      scratch.rot_dc.data() + np, scratch.rot_ds.data() + np, np, n,
-      scratch.gq.data());
-  // LOS rotator, emitting both coordinates per slot.
-  double los_s = 0.0;
-  double los_c = 1.0;
-  util::detmath::dsincos(kTwoPi * tau[0] + los_phase_, los_s, los_c);
-  double dls = 0.0;
-  double dlc = 1.0;
-  util::detmath::dsincos(kTwoPi * dtau, dls, dlc);
-  util::detmath::rotator_emit_block(los_c, los_s, dlc, dls, n,
-                                    scratch.cos_v.data(),
-                                    scratch.sin_v.data());
-  compose_gain_n(n, mix, out, scratch);
 }
 
 DopplerClock::DopplerClock(const sim::MobilityScenario& scenario, Config config) {

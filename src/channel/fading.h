@@ -51,7 +51,6 @@ class FadingProcess {
   /// allocation serves every block of a trace.
   struct BlockScratch {
     std::vector<double> gi, gq, ang, sin_v, cos_v;
-    std::vector<double> rot_c, rot_s, rot_dc, rot_ds;  ///< Fast-path rotators.
   };
 
   /// Block form of gain_db: out[k] is bit-identical to
@@ -61,19 +60,7 @@ class FadingProcess {
   void gain_db_n(const double* tau, std::size_t n, const RicianMix& mix,
                  double* out, BlockScratch& scratch) const;
 
-  /// Approximate block form for --fast-trace: each path's sinusoid advances
-  /// by phase rotation (seeded exactly at tau[0], stepped by the first tau
-  /// difference) instead of a fresh cos per slot. Statistically equivalent
-  /// (drift O(n * eps) per call — callers bound n by the block size) but
-  /// NOT bit-identical to gain_db; must never feed golden-pinned artifacts.
-  void gain_db_n_fast(const double* tau, std::size_t n, const RicianMix& mix,
-                      double* out, BlockScratch& scratch) const;
-
  private:
-  /// Shared tail of the block kernels: normalize, mix LOS, power -> dB.
-  void compose_gain_n(std::size_t n, const RicianMix& mix, double* out,
-                      BlockScratch& scratch) const noexcept;
-
   struct Path {
     double omega;    ///< 2*pi*cos(alpha): Doppler phase rate of this path.
     double phase_i;  ///< In-phase component phase offset.

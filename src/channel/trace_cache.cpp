@@ -32,9 +32,6 @@ std::string trace_config_key(const TraceGeneratorConfig& config) {
   std::string key;
   key.reserve(160);
   key.push_back(static_cast<char>(config.env));
-  // Fast-trace output differs bit-wise from the exact kernel, so the two
-  // modes must never share a cache entry.
-  key.push_back(config.fast_trace ? '\1' : '\0');
   append_u64(key, config.seed);
   append_i64(key, config.slot_duration);
   append_i64(key, config.payload_bytes);

@@ -188,9 +188,8 @@ bool ChannelRealization::Cursor::moving_at(Time t) noexcept {
 }
 
 ChannelRealization::BlockSampler::BlockSampler(
-    const ChannelRealization& channel, bool fast) noexcept
+    const ChannelRealization& channel) noexcept
     : ch_(&channel),
-      fast_(fast),
       doppler_(channel.doppler_),
       shadow_(channel.shadow_clock_),
       mix_static_(
@@ -301,13 +300,8 @@ void ChannelRealization::BlockSampler::sample_n(const Time* mid, std::size_t n,
     }
 
     const FadingProcess::RicianMix& mix = moving ? mix_mobile_ : mix_static_;
-    if (fast_) {
-      ch_->fading_.gain_db_n_fast(tau_.data() + i, len, mix, fade_.data() + i,
-                                  fade_scratch_);
-    } else {
-      ch_->fading_.gain_db_n(tau_.data() + i, len, mix, fade_.data() + i,
-                             fade_scratch_);
-    }
+    ch_->fading_.gain_db_n(tau_.data() + i, len, mix, fade_.data() + i,
+                           fade_scratch_);
     ch_->shadowing_.offset_db_n(sprog_.data() + i, len, shadow_off_.data() + i);
     i = j;
   }
@@ -400,7 +394,7 @@ PacketFateTrace generate_trace_block(const TraceGeneratorConfig& config,
                              config.geometry, config.snr_offset_db,
                              config.shadow_sigma_scale, config.shadow_clock);
   util::Rng fate_rng(config.seed ^ 0xF47E5EEDULL);
-  ChannelRealization::BlockSampler sampler(channel, config.fast_trace);
+  ChannelRealization::BlockSampler sampler(channel);
   const DeliveryModel delivery(config.payload_bytes);
 
   const Duration total = config.scenario.total_duration();

@@ -104,17 +104,13 @@ class ChannelRealization {
   /// contiguous arrays via the detmath batch kernels, then applies the
   /// interference bursts with a per-slot monotone walk.
   ///
-  /// Exact mode (fast = false) is bit-identical to Cursor::snr_db_at /
-  /// moving_at for every midpoint — same segment-selection rules, same
-  /// arithmetic on the same doubles (tests/trace_kernel_test.cpp pins this
-  /// differentially and property-wise). Fast mode replaces the per-slot
-  /// fading cosines with block-seeded phase rotators (see
-  /// FadingProcess::gain_db_n_fast): statistically equivalent, never fed to
-  /// golden-pinned artifacts.
+  /// It is bit-identical to Cursor::snr_db_at / moving_at for every
+  /// midpoint — same segment-selection rules, same arithmetic on the same
+  /// doubles (tests/trace_kernel_test.cpp pins this differentially and
+  /// property-wise).
   class BlockSampler {
    public:
-    explicit BlockSampler(const ChannelRealization& channel,
-                          bool fast = false) noexcept;
+    explicit BlockSampler(const ChannelRealization& channel) noexcept;
 
     /// Preconditions: mid[0..n) non-decreasing (and non-decreasing across
     /// calls for the monotone fast path; a backwards step re-walks like
@@ -128,7 +124,6 @@ class ChannelRealization {
                                                    Time& next_start) noexcept;
 
     const ChannelRealization* ch_;
-    bool fast_;
     DopplerClock::Cursor doppler_;
     DopplerClock::Cursor shadow_;
     FadingProcess::RicianMix mix_static_;
@@ -188,13 +183,6 @@ struct TraceGeneratorConfig {
   /// (body shadowing on a longer path varies over many seconds).
   DopplerClock::Config shadow_clock{0.04, 1.6, 0.9};
   DriveByGeometry geometry{};
-  /// Opt-in approximate fading evaluation (CLI: --fast-trace). The fading
-  /// sinusoids advance by per-block phase rotation instead of a fresh
-  /// cosine per slot — statistically equivalent to the exact kernel
-  /// (pinned by the fast-trace tier in tests/trace_kernel_test.cpp) but
-  /// not bit-identical, so fast traces are keyed separately by the trace
-  /// cache and MUST NOT feed golden-pinned artifacts.
-  bool fast_trace = false;
 };
 
 /// Generates a packet-fate trace by sampling a fresh channel realization.
@@ -212,10 +200,10 @@ PacketFateTrace generate_trace(const TraceGeneratorConfig& config);
 
 /// Reference implementation: the PR 4 scalar cursor walk, one slot at a
 /// time. generate_trace (the block kernel) is bit-identical to this for
-/// every config with fast_trace == false; the differential `kernel` test
-/// tier holds the two against each other. If `true_snr_out` is non-null it
-/// receives the per-slot true SNR doubles (before observation noise), the
-/// quantity the differential tests compare at full double precision.
+/// every config; the differential `kernel` test tier holds the two against
+/// each other. If `true_snr_out` is non-null it receives the per-slot true
+/// SNR doubles (before observation noise), the quantity the differential
+/// tests compare at full double precision.
 PacketFateTrace generate_trace_scalar(const TraceGeneratorConfig& config,
                                       std::vector<double>* true_snr_out =
                                           nullptr);

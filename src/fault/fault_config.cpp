@@ -23,10 +23,10 @@ bool FaultConfig::sensor_null() const noexcept {
 }
 
 bool FaultConfig::hint_null() const noexcept {
-  return hint.drop_rate == 0.0 && hint.duplicate_rate == 0.0 &&
-         hint.reorder_rate == 0.0 && hint.delay_mean == 0 &&
-         hint.delay_jitter == 0 && hint.extra_staleness == 0 &&
-         clock.offset == 0 && clock.drift_ppm == 0.0;
+  return hint.drop_rate == 0.0 && hint.reorder_rate == 0.0 &&
+         hint.delay_mean == 0 && hint.delay_jitter == 0 &&
+         hint.extra_staleness == 0 && clock.offset == 0 &&
+         clock.drift_ppm == 0.0;
 }
 
 bool FaultConfig::exec_null() const noexcept {
@@ -50,7 +50,6 @@ std::vector<std::pair<std::string, std::string>> fault_params(
   rate("sensor_stuck_rate", config.sensor.stuck_rate);
   rate("sensor_noise_rate", config.sensor.noise_rate);
   rate("hint_drop_rate", config.hint.drop_rate);
-  rate("hint_duplicate_rate", config.hint.duplicate_rate);
   rate("hint_reorder_rate", config.hint.reorder_rate);
   ms("hint_delay_ms", config.hint.delay_mean);
   ms("hint_jitter_ms", config.hint.delay_jitter);
@@ -71,7 +70,6 @@ bool set_fault_field(FaultConfig& config, std::string_view key, double value) {
   else if (key == "sensor_noise_ms") config.sensor.noise_duration = ms(value);
   else if (key == "sensor_noise_sigma") config.sensor.noise_sigma = value;
   else if (key == "hint_drop_rate") config.hint.drop_rate = value;
-  else if (key == "hint_duplicate_rate") config.hint.duplicate_rate = value;
   else if (key == "hint_reorder_rate") config.hint.reorder_rate = value;
   else if (key == "hint_reorder_hold_ms") config.hint.reorder_hold = ms(value);
   else if (key == "hint_delay_ms") config.hint.delay_mean = ms(value);

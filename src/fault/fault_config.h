@@ -39,8 +39,6 @@ struct SensorFaultConfig {
 struct HintFaultConfig {
   /// P(a hint update is dropped before delivery).
   double drop_rate = 0.0;
-  /// P(a delivered hint is delivered a second time, `reorder_hold` later).
-  double duplicate_rate = 0.0;
   /// P(a hint is held back by `reorder_hold`, letting successors overtake).
   double reorder_rate = 0.0;
   Duration reorder_hold = 200 * kMillisecond;

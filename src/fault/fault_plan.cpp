@@ -35,12 +35,6 @@ bool FaultPlan::hint_dropped(std::uint64_t index) const noexcept {
   return event_rng(Stream::kHintDrop, index).bernoulli(config_.hint.drop_rate);
 }
 
-bool FaultPlan::hint_duplicated(std::uint64_t index) const noexcept {
-  if (config_.hint.duplicate_rate <= 0.0) return false;
-  return event_rng(Stream::kHintDuplicate, index)
-      .bernoulli(config_.hint.duplicate_rate);
-}
-
 bool FaultPlan::hint_reordered(std::uint64_t index) const noexcept {
   if (config_.hint.reorder_rate <= 0.0) return false;
   return event_rng(Stream::kHintReorder, index)

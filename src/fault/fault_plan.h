@@ -13,7 +13,7 @@
 //    (degradation measurements compare like against like).
 //
 // Episode faults (stuck-at, noise bursts) expose per-event *begin* decisions;
-// the sequential wrappers (FaultyAccelerometer, FaultyHintChannel) apply the
+// the sequential wrappers (FaultyAccelerometer, MovementFeed) apply the
 // configured durations.
 #pragma once
 
@@ -36,7 +36,6 @@ class FaultPlan {
     kSensorNoise = 0x5D03,
     kHintDrop = 0x4501,
     kHintDelay = 0x4502,
-    kHintDuplicate = 0x4503,
     kHintReorder = 0x4504,
     kExecCrash = 0xE801,
     kExecTimeout = 0xE802,
@@ -67,7 +66,6 @@ class FaultPlan {
 
   // Hint-delivery decisions (index = hint-update ordinal).
   bool hint_dropped(std::uint64_t index) const noexcept;
-  bool hint_duplicated(std::uint64_t index) const noexcept;
   bool hint_reordered(std::uint64_t index) const noexcept;
   /// Extra delivery latency (>= 0), excluding any reorder hold.
   Duration hint_delay(std::uint64_t index) const noexcept;

@@ -13,13 +13,11 @@
 #include <optional>
 #include <vector>
 
-#include "core/hint_bus.h"
 #include "exp/sweep.h"
 #include "fault/fault_clock.h"
 #include "fault/fault_config.h"
 #include "fault/fault_plan.h"
 #include "fault/faulty_sensors.h"
-#include "fault/hint_channel.h"
 #include "fault/movement_feed.h"
 #include "sensors/accelerometer.h"
 #include "sim/mobility.h"
@@ -34,7 +32,6 @@ FaultConfig all_faults_config() {
   cfg.sensor.stuck_rate = 0.05;
   cfg.sensor.noise_rate = 0.1;
   cfg.hint.drop_rate = 0.4;
-  cfg.hint.duplicate_rate = 0.2;
   cfg.hint.reorder_rate = 0.15;
   cfg.hint.delay_mean = 30 * kMillisecond;
   cfg.hint.delay_jitter = 10 * kMillisecond;
@@ -51,7 +48,6 @@ std::vector<double> schedule_digest(const FaultPlan& plan, std::uint64_t n) {
     out.push_back(plan.sensor_noise_begins(i) ? 1.0 : 0.0);
     out.push_back(plan.sensor_noise(i, 0));
     out.push_back(plan.hint_dropped(i) ? 1.0 : 0.0);
-    out.push_back(plan.hint_duplicated(i) ? 1.0 : 0.0);
     out.push_back(plan.hint_reordered(i) ? 1.0 : 0.0);
     out.push_back(static_cast<double>(plan.hint_delay(i)));
   }
@@ -107,8 +103,8 @@ TEST(FaultPlanTest, StreamsAreIndependent) {
   const int n = 1000;
   for (std::uint64_t i = 0; i < n; ++i) {
     auto drop = plan.event_rng(FaultPlan::Stream::kHintDrop, i);
-    auto dup = plan.event_rng(FaultPlan::Stream::kHintDuplicate, i);
-    if (drop.uniform() < 0.5 && dup.uniform() < 0.5) ++agreements;
+    auto reorder = plan.event_rng(FaultPlan::Stream::kHintReorder, i);
+    if (drop.uniform() < 0.5 && reorder.uniform() < 0.5) ++agreements;
   }
   // Independent fair draws agree ~25% of the time; identical streams 50%.
   EXPECT_GT(agreements, 180);
@@ -122,7 +118,6 @@ TEST(FaultPlanTest, ZeroRatesNeverFault) {
     EXPECT_FALSE(plan.sensor_stuck_begins(i));
     EXPECT_FALSE(plan.sensor_noise_begins(i));
     EXPECT_FALSE(plan.hint_dropped(i));
-    EXPECT_FALSE(plan.hint_duplicated(i));
     EXPECT_FALSE(plan.hint_reordered(i));
     EXPECT_EQ(plan.hint_delay(i), 0);
   }
@@ -265,108 +260,6 @@ TEST(FaultyAccelerometerTest, NoiseBurstPerturbsTheCleanStream) {
   // The first report starts a burst; every report restarts one.
   EXPECT_GT(perturbed, 290);
   EXPECT_GT(faulty.noisy(), 290U);
-}
-
-// ---------------------------------------------------------------------------
-// FaultyHintChannel.
-
-core::Hint movement_at(Time t, bool moving = true) {
-  return core::Hint::movement(moving, t, /*src=*/7);
-}
-
-TEST(FaultyHintChannelTest, NullConfigDeliversImmediately) {
-  core::HintBus bus;
-  FaultyHintChannel channel(bus, FaultPlan(FaultConfig{}, 55));
-  int received = 0;
-  bus.subscribe(core::HintType::kMovement, [&](const core::Hint&) {
-    ++received;
-  });
-  for (int i = 0; i < 10; ++i) {
-    channel.publish(movement_at(i * kSecond), i * kSecond);
-  }
-  EXPECT_EQ(received, 10);
-  EXPECT_EQ(channel.delivered(), 10U);
-  EXPECT_EQ(channel.pending(), 0U);
-}
-
-TEST(FaultyHintChannelTest, TotalDropDeliversNothing) {
-  FaultConfig cfg;
-  cfg.hint.drop_rate = 1.0;
-  core::HintBus bus;
-  FaultyHintChannel channel(bus, FaultPlan(cfg, 1));
-  for (int i = 0; i < 50; ++i) {
-    channel.publish(movement_at(i * kMillisecond), i * kMillisecond);
-  }
-  channel.drain(kSecond);
-  channel.flush();
-  EXPECT_EQ(channel.dropped(), 50U);
-  EXPECT_EQ(channel.delivered(), 0U);
-  EXPECT_EQ(bus.store().size(), 0U);
-}
-
-TEST(FaultyHintChannelTest, DelayHoldsDeliveryUntilDue) {
-  FaultConfig cfg;
-  cfg.hint.delay_mean = 200 * kMillisecond;
-  core::HintBus bus;
-  FaultyHintChannel channel(bus, FaultPlan(cfg, 2));
-  channel.publish(movement_at(0), 0);
-  EXPECT_EQ(channel.delivered(), 0U);
-  EXPECT_EQ(channel.pending(), 1U);
-  channel.drain(100 * kMillisecond);  // before due
-  EXPECT_EQ(channel.delivered(), 0U);
-  channel.drain(300 * kMillisecond);  // past due
-  EXPECT_EQ(channel.delivered(), 1U);
-  EXPECT_EQ(channel.pending(), 0U);
-}
-
-TEST(FaultyHintChannelTest, DuplicateDeliversTwice) {
-  FaultConfig cfg;
-  cfg.hint.duplicate_rate = 1.0;
-  core::HintBus bus;
-  int received = 0;
-  bus.subscribe(core::HintType::kMovement, [&](const core::Hint&) {
-    ++received;
-  });
-  FaultyHintChannel channel(bus, FaultPlan(cfg, 3));
-  channel.publish(movement_at(0), 0);
-  channel.drain(10 * kSecond);
-  EXPECT_EQ(received, 2);
-  EXPECT_EQ(channel.duplicated(), 1U);
-}
-
-TEST(FaultyHintChannelTest, ExtraStalenessAgesDeliveredTimestamps) {
-  FaultConfig cfg;
-  cfg.hint.extra_staleness = 3 * kSecond;
-  cfg.hint.delay_mean = 1;  // force the queue path
-  core::HintBus bus;
-  std::vector<Time> stamps;
-  bus.subscribe(core::HintType::kMovement, [&](const core::Hint& h) {
-    stamps.push_back(h.timestamp);
-  });
-  FaultyHintChannel channel(bus, FaultPlan(cfg, 4));
-  channel.publish(movement_at(10 * kSecond), 10 * kSecond);
-  channel.drain(20 * kSecond);
-  ASSERT_EQ(stamps.size(), 1U);
-  EXPECT_EQ(stamps[0], 10 * kSecond - 3 * kSecond);
-}
-
-TEST(FaultyHintChannelTest, ReorderedStragglerLosesToNewerHintInStore) {
-  // A hint held back by reordering arrives after its successor; the
-  // HintStore's newest-timestamp-wins rule must keep the successor's value.
-  FaultConfig cfg;
-  cfg.hint.reorder_rate = 1.0;  // every hint held back by reorder_hold
-  cfg.hint.reorder_hold = 500 * kMillisecond;
-  core::HintBus bus;
-  FaultyHintChannel channel(bus, FaultPlan(cfg, 6));
-  channel.publish(movement_at(0, true), 0);  // held until t = 500 ms
-  // Its successor skips the faulty channel and arrives right away.
-  bus.publish(movement_at(400 * kMillisecond, false));
-  channel.drain(kSecond);  // straggler finally delivered, out of order
-  EXPECT_EQ(channel.delivered(), 1U);
-  const auto latest = bus.store().latest(7, core::HintType::kMovement);
-  ASSERT_TRUE(latest.has_value());
-  EXPECT_FALSE(latest->as_bool());
-  EXPECT_EQ(latest->timestamp, 400 * kMillisecond);
 }
 
 // ---------------------------------------------------------------------------

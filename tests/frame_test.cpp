@@ -1,11 +1,10 @@
-// Tests for the MAC frame layer and the Hint Protocol endpoint (§2.3).
+// Tests for the MAC frame layer: hints carried on control, data and hint
+// frames (§2.3).
 #include <gtest/gtest.h>
 
 #include <vector>
 
-#include "core/hint_store.h"
 #include "mac/frame.h"
-#include "mac/hint_endpoint.h"
 
 namespace sh::mac {
 namespace {
@@ -89,92 +88,6 @@ TEST(FrameTest, EnvironmentActivityRoundTripsThroughFrames) {
   ASSERT_EQ(extracted.size(), 1U);
   EXPECT_EQ(extracted[0].type, core::HintType::kEnvironmentActivity);
   EXPECT_TRUE(extracted[0].as_bool());
-}
-
-// ---------------------------------------------------------------------------
-// HintEndpoint
-
-TEST(HintEndpointTest, FirstHintIsPending) {
-  HintEndpoint endpoint(1);
-  EXPECT_FALSE(endpoint.has_pending_change());
-  endpoint.on_local_hint(core::Hint::movement(true, 0, 1));
-  EXPECT_TRUE(endpoint.has_pending_change());
-}
-
-TEST(HintEndpointTest, DataFrameDeliversAndClearsPending) {
-  HintEndpoint endpoint(1);
-  endpoint.on_local_hint(core::Hint::movement(true, 0, 1));
-  const auto carried = endpoint.hints_for_data_frame(10);
-  ASSERT_EQ(carried.size(), 1U);
-  EXPECT_FALSE(endpoint.has_pending_change());
-  // Unchanged hint, immediately after: nothing to carry.
-  EXPECT_TRUE(endpoint.hints_for_data_frame(20).empty());
-}
-
-TEST(HintEndpointTest, ChangeTriggersRecarriage) {
-  HintEndpoint endpoint(1);
-  endpoint.on_local_hint(core::Hint::movement(true, 0, 1));
-  endpoint.hints_for_data_frame(10);
-  endpoint.on_local_hint(core::Hint::movement(false, 20, 1));
-  const auto carried = endpoint.hints_for_data_frame(30);
-  ASSERT_EQ(carried.size(), 1U);
-  EXPECT_FALSE(carried[0].as_bool());
-}
-
-TEST(HintEndpointTest, SubQuantumChangeNotRetransmitted) {
-  HintEndpoint endpoint(1);
-  endpoint.on_local_hint(core::Hint::heading(100.0, 0, 1));
-  endpoint.hints_for_data_frame(10);
-  // 0.3 degrees is below the 1.4-degree wire quantum.
-  endpoint.on_local_hint(core::Hint::heading(100.3, 20, 1));
-  EXPECT_FALSE(endpoint.has_pending_change());
-}
-
-TEST(HintEndpointTest, RefreshResendsUnchangedHints) {
-  HintEndpoint::Params params;
-  params.refresh_interval = kSecond;
-  HintEndpoint endpoint(1, params);
-  endpoint.on_local_hint(core::Hint::movement(true, 0, 1));
-  endpoint.hints_for_data_frame(0);
-  EXPECT_TRUE(endpoint.hints_for_data_frame(500 * kMillisecond).empty());
-  EXPECT_EQ(endpoint.hints_for_data_frame(1500 * kMillisecond).size(), 1U);
-}
-
-TEST(HintEndpointTest, StandaloneFrameWhenIdleWithPendingChange) {
-  HintEndpoint::Params params;
-  params.standalone_after_idle = 200 * kMillisecond;
-  HintEndpoint endpoint(1, params);
-  endpoint.hints_for_data_frame(0);  // last data frame at t=0
-  endpoint.on_local_hint(core::Hint::movement(true, 50 * kMillisecond, 1));
-
-  // Too soon: keep waiting for a data frame to piggyback on.
-  EXPECT_FALSE(endpoint.maybe_standalone_frame(100 * kMillisecond).has_value());
-  // Idle long enough: the change goes out on its own frame.
-  const auto frame = endpoint.maybe_standalone_frame(300 * kMillisecond);
-  ASSERT_TRUE(frame.has_value());
-  EXPECT_EQ(frame->type, FrameType::kHint);
-  const auto hints = extract_hints(*frame, 300 * kMillisecond);
-  ASSERT_EQ(hints.size(), 1U);
-  EXPECT_TRUE(hints[0].as_bool());
-  // Delivered: no repeat.
-  EXPECT_FALSE(endpoint.maybe_standalone_frame(400 * kMillisecond).has_value());
-}
-
-TEST(HintEndpointTest, EndToEndIntoReceiverStore) {
-  HintEndpoint endpoint(5);
-  core::HintStore receiver_store;
-  endpoint.on_local_hint(core::Hint::movement(true, 0, 5));
-  endpoint.on_local_hint(core::Hint::heading(45.0, 0, 5));
-
-  const Frame frame =
-      make_data_frame(5, 9, {0xAA}, endpoint.hints_for_data_frame(100));
-  for (const auto& hint : extract_hints(frame, 105)) {
-    receiver_store.update(hint);
-  }
-  EXPECT_TRUE(receiver_store.is_moving(5, 105, kSecond));
-  const auto heading = receiver_store.latest(5, core::HintType::kHeading);
-  ASSERT_TRUE(heading.has_value());
-  EXPECT_NEAR(heading->value, 45.0, 1.0);
 }
 
 }  // namespace

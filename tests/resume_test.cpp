@@ -4,7 +4,8 @@
 // byte-identical to an uninterrupted run — at 1 and 8 threads, with the
 // trace cache on and off. Also pins the CLI hardening satellites: unknown
 // flags, malformed values, stale journals, and missing bench baselines all
-// exit 2 with a one-line diagnostic naming the offender.
+// exit 2 with a one-line diagnostic naming the offender, in shsweep,
+// shbench and the engine-backed figure binaries alike.
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
@@ -77,6 +78,7 @@ std::string grid_args(int threads, const char* cache) {
 
 std::string sweep_cmd() { return SHSWEEP_BIN; }
 std::string bench_cmd() { return SHBENCH_BIN; }
+std::string figure_cmd() { return FIGURE_BIN; }
 
 // ---- Kill + resume byte-identity matrix ----------------------------------
 
@@ -301,6 +303,16 @@ TEST(BenchCliTest, CheckWithNonBenchJsonRejected) {
   const auto r = run_cmd(bench_cmd() + " --check " + bogus + " " + bogus);
   EXPECT_EQ(r.exit_code, 2);
   EXPECT_NE(r.output.find("sh.bench.v1"), std::string::npos) << r.output;
+}
+
+// ---- CLI hardening: engine-backed figure binaries ------------------------
+
+TEST(FigureCliTest, NonIntegerThreadsRejected) {
+  const auto r = run_cmd(figure_cmd() + " --threads abc");
+  EXPECT_EQ(r.exit_code, 2);
+  EXPECT_NE(r.output.find("--threads: invalid integer 'abc'"),
+            std::string::npos)
+      << r.output;
 }
 
 }  // namespace

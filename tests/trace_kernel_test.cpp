@@ -9,11 +9,6 @@
 //  * property — >= 100 randomized mobility layouts (phase edges landing
 //    mid-block on purpose): BlockSampler::sample_n must equal
 //    Cursor::snr_db_at / moving_at bit-exactly for every slot midpoint.
-//  * statistical — the opt-in --fast-trace rotator path is NOT bit-exact;
-//    over >= 64 seeds its delivery rate, SNR mean/variance, and fade
-//    durations must sit inside tolerance bands, and it must never be able
-//    to masquerade as a golden-pinned artifact (different cache key, off by
-//    default).
 //  * detmath — scalar call == batch call for every kernel the block path
 //    uses, including the n = 1 degenerate batch.
 //  * snr model — best_rate_for_snr's hoisted frame-length shift must agree
@@ -31,7 +26,6 @@
 #include <vector>
 
 #include "channel/snr_model.h"
-#include "channel/trace_cache.h"
 #include "channel/trace_generator.h"
 #include "sim/mobility.h"
 #include "util/detmath.h"
@@ -228,110 +222,6 @@ TEST(TraceKernelPropertyTest, RandomSegmentLayoutsMatchCursorBitExactly) {
           << "layout " << layout << " slot " << k;
     }
   }
-}
-
-// ---------------------------------------------------------------------------
-// Statistical: the --fast-trace rotator path.
-
-struct TraceMoments {
-  double delivery = 0.0;   ///< Delivery ratio at a mid-table rate.
-  double snr_mean = 0.0;
-  double snr_var = 0.0;
-  double fade_slots = 0.0; ///< Mean length of below-mean SNR runs.
-};
-
-TraceMoments moments(const PacketFateTrace& trace) {
-  TraceMoments m;
-  const std::size_t n = trace.size();
-  if (n == 0) return m;
-  m.delivery = trace.delivery_ratio(3);
-  double sum = 0.0;
-  for (std::size_t i = 0; i < n; ++i) sum += trace.slot(i).snr_db;
-  m.snr_mean = sum / static_cast<double>(n);
-  double var = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double d = trace.slot(i).snr_db - m.snr_mean;
-    var += d * d;
-  }
-  m.snr_var = var / static_cast<double>(n);
-  // Fade durations: maximal runs of slots below the trace's own mean SNR.
-  std::size_t runs = 0;
-  std::size_t faded = 0;
-  bool in_run = false;
-  for (std::size_t i = 0; i < n; ++i) {
-    const bool below = trace.slot(i).snr_db < m.snr_mean;
-    if (below) {
-      ++faded;
-      if (!in_run) ++runs;
-    }
-    in_run = below;
-  }
-  m.fade_slots = runs > 0 ? static_cast<double>(faded) /
-                                static_cast<double>(runs)
-                          : 0.0;
-  return m;
-}
-
-TEST(FastTraceStatisticalTest, EquivalentMomentsOver64Seeds) {
-  // The rotator path re-seeds from dsincos at every block boundary, so its
-  // drift from the exact kernel is O(block * eps) per block — far below the
-  // channel's own variability. The bands below are therefore deliberately
-  // tight: delivery within 1 percentage point, SNR mean within 0.1 dB,
-  // SNR variance and mean fade duration within 5%, all as aggregates over
-  // 64 seeds of a mobile office trace. Widen them only with evidence that
-  // the approximation (not a bug) moved a moment.
-  constexpr int kSeeds = 64;
-  TraceMoments exact_sum, fast_sum;
-  for (int s = 0; s < kSeeds; ++s) {
-    auto cfg = kernel_config(Environment::kOffice, Mobility::kMobile,
-                             4 * kSecond, 1000 + static_cast<std::uint64_t>(s));
-    const auto exact = moments(generate_trace(cfg));
-    cfg.fast_trace = true;
-    const auto fast = moments(generate_trace(cfg));
-    exact_sum.delivery += exact.delivery;
-    exact_sum.snr_mean += exact.snr_mean;
-    exact_sum.snr_var += exact.snr_var;
-    exact_sum.fade_slots += exact.fade_slots;
-    fast_sum.delivery += fast.delivery;
-    fast_sum.snr_mean += fast.snr_mean;
-    fast_sum.snr_var += fast.snr_var;
-    fast_sum.fade_slots += fast.fade_slots;
-  }
-  const double k = 1.0 / kSeeds;
-  EXPECT_NEAR(fast_sum.delivery * k, exact_sum.delivery * k, 0.01);
-  EXPECT_NEAR(fast_sum.snr_mean * k, exact_sum.snr_mean * k, 0.1);
-  EXPECT_NEAR(fast_sum.snr_var * k, exact_sum.snr_var * k,
-              0.05 * exact_sum.snr_var * k);
-  EXPECT_NEAR(fast_sum.fade_slots * k, exact_sum.fade_slots * k,
-              0.05 * exact_sum.fade_slots * k);
-}
-
-TEST(FastTraceGuardTest, CannotReachGoldenPinnedArtifacts) {
-  // Three independent fences between --fast-trace and the golden pins:
-  // it is off by default (golden tests construct default configs), it keys
-  // differently in the trace cache (a fast trace can never be handed to a
-  // caller that asked for an exact one), and its true-SNR stream really is
-  // a different bit pattern (the approximation is not a silent no-op, so a
-  // mislabeled fast trace cannot hide behind hash equality).
-  EXPECT_FALSE(TraceGeneratorConfig{}.fast_trace);
-
-  auto cfg = kernel_config(Environment::kOffice, Mobility::kMobile,
-                           4 * kSecond, 12345);
-  const std::string exact_key = trace_config_key(cfg);
-  cfg.fast_trace = true;
-  EXPECT_NE(trace_config_key(cfg), exact_key);
-
-  std::vector<double> fast_snr;
-  generate_trace_block(cfg, kDefaultTraceBlockSlots, &fast_snr);
-  cfg.fast_trace = false;
-  std::vector<double> exact_snr;
-  generate_trace_block(cfg, kDefaultTraceBlockSlots, &exact_snr);
-  ASSERT_EQ(fast_snr.size(), exact_snr.size());
-  std::size_t differing = 0;
-  for (std::size_t i = 0; i < exact_snr.size(); ++i) {
-    if (exact_snr[i] != fast_snr[i]) ++differing;
-  }
-  EXPECT_GT(differing, 0U);
 }
 
 // ---------------------------------------------------------------------------
