@@ -185,6 +185,6 @@ int main(int argc, char** argv) {
       "Contract: a dead hint feed must cost nothing relative to never "
       "having had hints.\n",
       monotone ? "yes" : "NO", above_floor ? "yes" : "NO", worst_ratio);
-  finish_sweep(result, opts);
+  if (finish_sweep(result, opts) != 0) return 1;
   return !(monotone && above_floor);
 }

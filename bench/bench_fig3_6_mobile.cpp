@@ -71,6 +71,5 @@ int main(int argc, char** argv) {
       "\nPaper: RapidSample best in every environment while mobile; up to "
       "+75%% over SampleRate, up to +25%% over the rest. RBAR slightly "
       "above CHARM (instantaneous SNR beats stale averages).\n");
-  finish_sweep(result, opts);
-  return 0;
+  return finish_sweep(result, opts);
 }

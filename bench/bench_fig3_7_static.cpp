@@ -67,6 +67,5 @@ int main(int argc, char** argv) {
       "\nPaper: SampleRate highest in every environment; RapidSample 12-28%% "
       "below it (aggressive drops on single losses + ceaseless upward "
       "sampling); CHARM slightly above RBAR.\n");
-  finish_sweep(result, opts);
-  return 0;
+  return finish_sweep(result, opts);
 }

@@ -87,6 +87,5 @@ int main(int argc, char** argv) {
   std::printf(
       "\nPaper: motion makes the delivery ratio fluctuate second to second "
       "with many jumps exceeding 20%%; static periods are stable.\n");
-  finish_sweep(result, opts);
-  return 0;
+  return finish_sweep(result, opts);
 }

@@ -114,7 +114,7 @@ int run_city_scale(int vehicles) {
     vanet::LinkTracker::Params tp;
     tp.heading_noise_deg = 2.0;
     tp.noise_seed = 7000 + static_cast<std::uint64_t>(net);
-    vanet::LinkTracker tracker(tp, &pool);
+    vanet::LinkTracker tracker(tp);
     Time now = 0;
     tracker.observe(now, sim.snapshot());
     for (int s = 0; s < duration_s; ++s) {

@@ -4,11 +4,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <string>
 
 #include "cli.h"
 #include "exp/sweep.h"
+#include "util/fsio.h"
 
 namespace sh::bench {
 
@@ -38,17 +38,21 @@ inline SweepCliOptions parse_sweep_cli(int argc, char** argv) {
   return opts;
 }
 
-/// Writes the JSON results file if `--json` was given; timing goes to
-/// stderr so stdout stays byte-stable across machines and thread counts.
-inline void finish_sweep(const exp::SweepResult& result,
-                         const SweepCliOptions& opts) {
-  if (!opts.json_path.empty()) {
-    std::ofstream os(opts.json_path);
-    result.write_json(os);
+/// Writes the JSON results file if `--json` was given and returns the
+/// process exit code: 1 if that write failed, as shsweep's `--out`, else 0.
+/// Timing goes to stderr so stdout stays byte-stable across machines and
+/// thread counts.
+inline int finish_sweep(const exp::SweepResult& result,
+                        const SweepCliOptions& opts) {
+  if (!opts.json_path.empty() &&
+      !util::atomic_write_file(opts.json_path, result.to_json())) {
+    std::fprintf(stderr, "--json: cannot write %s\n", opts.json_path.c_str());
+    return 1;
   }
   std::fprintf(stderr, "[sweep %s: %llu runs in %.2fs]\n", result.name.c_str(),
                static_cast<unsigned long long>(result.total_runs),
                result.wall_seconds);
+  return 0;
 }
 
 }  // namespace sh::bench

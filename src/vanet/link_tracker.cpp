@@ -4,15 +4,14 @@
 
 namespace sh::vanet {
 
-LinkTracker::LinkTracker(Params params, exp::ThreadPool* pool)
+LinkTracker::LinkTracker(Params params)
     : params_(params),
-      pool_(pool),
       noise_rng_(params.noise_seed),
       hash_(params.range_m) {}
 
 void LinkTracker::observe(Time now, const std::vector<VehicleState>& snapshot) {
   hash_.build(snapshot);
-  const auto connected = hash_.pairs_within(snapshot, params_.range_m, pool_);
+  const auto connected = hash_.pairs_within(snapshot, params_.range_m);
 
   // Merge the (a, b)-sorted connected set against the (a, b)-sorted active
   // map. Walking both in id order makes every downstream effect — closing

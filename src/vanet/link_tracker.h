@@ -7,10 +7,10 @@
 // The tracker is streaming: feed it one snapshot per simulated second with
 // observe() and it never needs the whole trajectory in memory — the shape a
 // 100k-vehicle city run requires. Proximity comes from the SpatialHash
-// stencil (optionally sharded over a thread pool), and every output — link
-// records, and the link-up/link-down event stream — is emitted in vehicle-id
-// order regardless of the scan's discovery order, so results are
-// byte-identical at any thread count (DESIGN.md "City-scale VANET").
+// half-stencil walk, and every output — link records, and the
+// link-up/link-down event stream — is emitted in vehicle-id order regardless
+// of the walk's discovery order, so results are byte-identical however the
+// snapshots were stepped (DESIGN.md "City-scale VANET").
 #pragma once
 
 #include <map>
@@ -20,10 +20,6 @@
 #include "util/rng.h"
 #include "vanet/spatial_hash.h"
 #include "vanet/traffic_sim.h"
-
-namespace sh::exp {
-class ThreadPool;
-}
 
 namespace sh::vanet {
 
@@ -38,8 +34,7 @@ struct LinkRecord {
 };
 
 /// One link transition. Within a step, events are ordered by (a, b) vehicle
-/// id — never by scan discovery order, which is a function of cell layout
-/// (and, sharded, of scheduling).
+/// id — never by scan discovery order, which is a function of cell layout.
 struct LinkEvent {
   Time time = 0;
   bool up = false;  ///< true = link formed, false = link broke.
@@ -62,7 +57,7 @@ class LinkTracker {
     bool record_events = false;
   };
 
-  explicit LinkTracker(Params params, exp::ThreadPool* pool = nullptr);
+  explicit LinkTracker(Params params);
 
   /// Observes one snapshot at time `now`. Snapshots must arrive in
   /// nondecreasing time order and all have the same vehicle count.
@@ -77,7 +72,6 @@ class LinkTracker {
 
  private:
   Params params_;
-  exp::ThreadPool* pool_;
   util::Rng noise_rng_;
   SpatialHash hash_;
   /// Active links keyed by the (a < b) vehicle pair; std::map so closing

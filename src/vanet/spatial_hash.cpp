@@ -3,19 +3,9 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-
-#include "exp/thread_pool.h"
+#include <utility>
 
 namespace sh::vanet {
-
-namespace {
-
-/// Vehicles per sharded-scan block. Fixed (never derived from the thread
-/// count) so the block decomposition — and therefore every block's locally
-/// sorted pair list — is identical no matter how many workers execute it.
-constexpr std::size_t kScanBlock = 2048;
-
-}  // namespace
 
 SpatialHash::SpatialHash(double cell_m) : cell_m_(cell_m) {
   assert(cell_m > 0.0);
@@ -34,110 +24,91 @@ std::int64_t SpatialHash::cell_of(double v) const noexcept {
 
 void SpatialHash::build(const std::vector<VehicleState>& snapshot) {
   const std::size_t n = snapshot.size();
-  // (cell key, vehicle id), sorted: groups members by cell with ids
-  // ascending inside each cell — the order every query below leans on.
-  std::vector<std::pair<std::uint64_t, int>> keyed;
-  keyed.reserve(n);
+  std::vector<std::uint64_t> keys(n);  // Cell key of each vehicle id.
+  std::uint64_t varying = 0;           // Key bits that differ between ids.
   for (std::size_t i = 0; i < n; ++i) {
-    keyed.emplace_back(pack(cell_of(snapshot[i].position.x),
-                            cell_of(snapshot[i].position.y)),
-                       static_cast<int>(i));
+    keys[i] = pack(cell_of(snapshot[i].position.x),
+                   cell_of(snapshot[i].position.y));
+    varying |= keys[i] ^ keys[0];
   }
-  std::sort(keyed.begin(), keyed.end());
+  // LSD radix sort of the ids by key, one byte a pass, skipping bytes no
+  // key differs in (a 100k-vehicle metro spans ~950 cells a side, so four
+  // of the eight bytes vary). Each pass is stable and the ids start
+  // ascending, so members come out grouped by cell in key order with ids
+  // ascending inside each cell.
+  members_.resize(n);
+  for (std::size_t i = 0; i < n; ++i) members_[i] = static_cast<int>(i);
+  std::vector<int> sorted(n);
+  for (int shift = 0; shift < 64; shift += 8) {
+    if (((varying >> shift) & 0xFF) == 0) continue;
+    std::size_t start[257] = {};
+    for (const int id : members_) {
+      ++start[((keys[static_cast<std::size_t>(id)] >> shift) & 0xFF) + 1];
+    }
+    for (int byte = 0; byte < 256; ++byte) start[byte + 1] += start[byte];
+    for (const int id : members_) {
+      sorted[start[(keys[static_cast<std::size_t>(id)] >> shift) & 0xFF]++] =
+          id;
+    }
+    members_.swap(sorted);
+  }
 
   cell_keys_.clear();
   cell_begin_.clear();
-  members_.clear();
-  members_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (i == 0 || keyed[i].first != keyed[i - 1].first) {
-      cell_keys_.push_back(keyed[i].first);
-      cell_begin_.push_back(members_.size());
-    }
-    members_.push_back(keyed[i].second);
-  }
-  cell_begin_.push_back(members_.size());
-}
-
-const std::vector<int>* SpatialHash::cell_members(
-    std::uint64_t key, std::size_t& begin, std::size_t& end) const noexcept {
-  const auto it = std::lower_bound(cell_keys_.begin(), cell_keys_.end(), key);
-  if (it == cell_keys_.end() || *it != key) return nullptr;
-  const auto c = static_cast<std::size_t>(it - cell_keys_.begin());
-  begin = cell_begin_[c];
-  end = cell_begin_[c + 1];
-  return &members_;
-}
-
-void SpatialHash::neighbors_of(const Vec2& position, double range_m, int self,
-                               const std::vector<VehicleState>& snapshot,
-                               std::vector<int>& out) const {
-  assert(range_m <= cell_m_);
-  out.clear();
-  const std::int64_t cx = cell_of(position.x);
-  const std::int64_t cy = cell_of(position.y);
-  for (std::int64_t dy = -1; dy <= 1; ++dy) {
-    for (std::int64_t dx = -1; dx <= 1; ++dx) {
-      std::size_t begin = 0, end = 0;
-      if (cell_members(pack(cx + dx, cy + dy), begin, end) == nullptr) continue;
-      for (std::size_t m = begin; m < end; ++m) {
-        const int b = members_[m];
-        if (b <= self) continue;
-        if (distance(position, snapshot[static_cast<std::size_t>(b)].position) <=
-            range_m) {
-          out.push_back(b);
-        }
-      }
+  for (std::size_t m = 0; m < n; ++m) {
+    const std::uint64_t key = keys[static_cast<std::size_t>(members_[m])];
+    if (cell_keys_.empty() || key != cell_keys_.back()) {
+      cell_keys_.push_back(key);
+      cell_begin_.push_back(m);
     }
   }
-  std::sort(out.begin(), out.end());
+  cell_begin_.push_back(n);
 }
 
 std::vector<VehiclePair> SpatialHash::pairs_within(
-    const std::vector<VehicleState>& snapshot, double range_m,
-    exp::ThreadPool* pool) const {
+    const std::vector<VehicleState>& snapshot, double range_m) const {
   assert(range_m <= cell_m_);
-  const std::size_t n = snapshot.size();
-  const std::size_t blocks = (n + kScanBlock - 1) / kScanBlock;
-
-  // One block scans ids [lo, hi) as the lesser endpoint of each pair, so a
-  // pair belongs to exactly one block; sorting a block's output makes the
-  // block-order concatenation globally (a, b)-sorted.
-  const auto scan_block = [&](std::size_t block, std::vector<VehiclePair>& out) {
-    const std::size_t lo = block * kScanBlock;
-    const std::size_t hi = std::min(n, lo + kScanBlock);
-    std::vector<int> near;
-    for (std::size_t a = lo; a < hi; ++a) {
-      neighbors_of(snapshot[a].position, range_m, static_cast<int>(a),
-                   snapshot, near);
-      for (const int b : near) out.emplace_back(static_cast<int>(a), b);
+  std::vector<VehiclePair> out;
+  const auto test = [&](int a, int b) {
+    if (a > b) std::swap(a, b);
+    if (distance(snapshot[static_cast<std::size_t>(a)].position,
+                 snapshot[static_cast<std::size_t>(b)].position) <= range_m) {
+      out.emplace_back(a, b);
     }
-    std::sort(out.begin(), out.end());
+  };
+  const auto cross = [&](std::size_t c, std::size_t d) {
+    for (std::size_t i = cell_begin_[c]; i < cell_begin_[c + 1]; ++i) {
+      for (std::size_t j = cell_begin_[d]; j < cell_begin_[d + 1]; ++j) {
+        test(members_[i], members_[j]);
+      }
+    }
   };
 
-  if (pool == nullptr || pool->thread_count() <= 1 || blocks <= 1) {
-    std::vector<VehiclePair> out;
-    for (std::size_t block = 0; block < blocks; ++block) {
-      std::vector<VehiclePair> part;
-      scan_block(block, part);
-      out.insert(out.end(), part.begin(), part.end());
+  // Half stencil: cell c meets itself, its right neighbour (the next key,
+  // when that is pack(ix + 1, iy)) and the three cells above it, which are
+  // the keys in [pack(ix - 1, iy + 1), pack(ix + 1, iy + 1)]. Every other
+  // neighbouring cell pair is met from its other cell, so each pair is
+  // tested once. The range's lower end grows with c, so one cursor that
+  // only moves forward finds it.
+  constexpr std::uint64_t kRow = std::uint64_t{1} << 32;
+  const std::size_t cells = cell_keys_.size();
+  std::size_t up = 0;
+  for (std::size_t c = 0; c < cells; ++c) {
+    const std::uint64_t key = cell_keys_[c];
+    for (std::size_t i = cell_begin_[c]; i < cell_begin_[c + 1]; ++i) {
+      for (std::size_t j = i + 1; j < cell_begin_[c + 1]; ++j) {
+        test(members_[i], members_[j]);
+      }
     }
-    return out;
+    if (c + 1 < cells && cell_keys_[c + 1] == key + 1) cross(c, c + 1);
+    while (up < cells && cell_keys_[up] < key + kRow - 1) ++up;
+    for (std::size_t d = up; d < cells && cell_keys_[d] <= key + kRow + 1;
+         ++d) {
+      cross(c, d);
+    }
   }
-
-  std::vector<std::vector<VehiclePair>> parts(blocks);
-  pool->parallel_for(blocks, [&](std::size_t block) {
-    scan_block(block, parts[block]);
-  });
-  std::vector<VehiclePair> out;
-  std::size_t total = 0;
-  for (const auto& part : parts) total += part.size();
-  out.reserve(total);
-  // Ordered reduction (D5 contract): blocks concatenate in block order, so
-  // the result is byte-identical to the serial scan at any thread count.
-  for (const auto& part : parts) {
-    out.insert(out.end(), part.begin(), part.end());
-  }
+  // The walk finds pairs in cell order; consumers need (a, b) order.
+  std::sort(out.begin(), out.end());
   return out;
 }
 

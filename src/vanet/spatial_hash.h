@@ -4,14 +4,16 @@
 // experiment; the O(n²) all-pairs scan that was fine for the paper's
 // 100-taxi testbed is hopeless at city scale. This index buckets vehicles
 // into square cells whose side equals the query radius, so a vehicle's
-// neighbors can only live in its own cell or the eight surrounding ones —
-// the classic 3x3 stencil — and the whole pair set costs O(n + pairs).
+// neighbors can only live in its own cell or the eight surrounding ones.
+// build() radix-sorts the vehicles by cell; pairs_within then walks the
+// occupied cells once in key order and pairs each cell with itself, its
+// right neighbour and the three cells above it — a half stencil that meets
+// every neighbouring cell pair exactly once — so the whole pair set costs
+// O(n + pairs) with no per-vehicle lookups.
 //
 // Determinism contract (DESIGN.md "Determinism contract"): the pair list is
-// returned sorted by (a, b) vehicle id, and the sharded scan partitions the
-// id range into fixed-size contiguous blocks whose outputs concatenate in
-// block order — already globally sorted — so the bytes downstream consumers
-// emit are identical at any thread count, including the serial path.
+// returned sorted by (a, b) vehicle id, whatever order the walk finds the
+// pairs in.
 #pragma once
 
 #include <cstdint>
@@ -19,10 +21,6 @@
 #include <vector>
 
 #include "vanet/traffic_sim.h"
-
-namespace sh::exp {
-class ThreadPool;
-}
 
 namespace sh::vanet {
 
@@ -42,34 +40,22 @@ class SpatialHash {
 
   /// Every pair (a < b) with distance(a, b) <= range_m, sorted by (a, b).
   /// Requires range_m <= cell_m and a preceding build() over the same
-  /// snapshot. With a pool, the scan shards over fixed-size id blocks; the
-  /// result is byte-identical to the serial scan.
+  /// snapshot.
   std::vector<VehiclePair> pairs_within(
-      const std::vector<VehicleState>& snapshot, double range_m,
-      exp::ThreadPool* pool = nullptr) const;
-
-  /// Vehicles in the 3x3 stencil around `position` with id > `self` and
-  /// distance <= range_m, ascending. `self` = -1 returns every vehicle in
-  /// range (the route layer's neighbor query).
-  void neighbors_of(const Vec2& position, double range_m, int self,
-                    const std::vector<VehicleState>& snapshot,
-                    std::vector<int>& out) const;
+      const std::vector<VehicleState>& snapshot, double range_m) const;
 
   double cell_m() const noexcept { return cell_m_; }
   std::size_t num_cells() const noexcept { return cell_keys_.size(); }
 
  private:
-  /// Packed cell coordinate; lexicographic (iy, ix) order.
+  /// Packed cell coordinate; lexicographic (iy, ix) order, and
+  /// pack(ix + dx, iy + dy) == pack(ix, iy) + dy * 2^32 + dx.
   static std::uint64_t pack(std::int64_t ix, std::int64_t iy) noexcept;
   std::int64_t cell_of(double v) const noexcept;
 
-  /// Vehicle ids of one cell: members_[cell_begin_[c] .. cell_begin_[c+1])
-  /// sorted ascending; cell_keys_ sorted so cells are binary-searchable.
-  const std::vector<int>* cell_members(std::uint64_t key,
-                                       std::size_t& begin,
-                                       std::size_t& end) const noexcept;
-
   double cell_m_;
+  /// Vehicle ids of cell c: members_[cell_begin_[c] .. cell_begin_[c+1]),
+  /// sorted ascending.
   std::vector<std::uint64_t> cell_keys_;  ///< Sorted unique occupied cells.
   std::vector<std::size_t> cell_begin_;   ///< Offsets into members_ (+1 entry).
   std::vector<int> members_;              ///< Vehicle ids grouped by cell.

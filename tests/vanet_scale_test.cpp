@@ -8,9 +8,9 @@
 //    O(n²) reference link set at every step, and extract_links must equal a
 //    reference reimplementation of the original all-pairs tracker field for
 //    field (doubles compared with ==, not tolerance);
-//  * sharded determinism — 1/2/8-thread runs of the sharded update and the
-//    sharded link scan must produce byte-identical trajectories and
-//    link-event streams (positions compared bit-for-bit);
+//  * sharded determinism — 1/2/8-thread runs of the sharded update must
+//    produce byte-identical trajectories and link-event streams (positions
+//    compared bit-for-bit);
 //  * golden pins at scale — link-duration histograms and CTE route choices
 //    for fixed seeds at 100 and 1k vehicles, hashed, so a future refactor
 //    cannot silently shift Table 5-1. If a change is INTENTIONAL, update the
@@ -173,22 +173,20 @@ TEST(VanetDifferentialTest, HashPairSetEqualsBruteForceOnRandomGraphs) {
   }
 }
 
-TEST(VanetDifferentialTest, ShardedPairScanEqualsSerialScan) {
+TEST(VanetDifferentialTest, HashPairSetEqualsBruteForceAtCityScale) {
+  // A city_for_scale metro at 5000 vehicles: thousands of occupied cells,
+  // so the walk crosses many rows, row gaps and row wraps per snapshot.
   util::Rng meta(77);
-  exp::ThreadPool pool2(2);
-  exp::ThreadPool pool8(8);
-  for (int trial = 0; trial < 4; ++trial) {
-    // Enough vehicles to span several 2048-id scan blocks is what matters
-    // here; city_for_scale keeps the pair count sane at that size.
-    const auto net = RoadNetwork::city_for_scale(5000, meta());
-    TrafficSim sim(net, meta(), random_params(meta, 5000));
+  const auto net = RoadNetwork::city_for_scale(5000, meta());
+  TrafficSim sim(net, meta(), random_params(meta, 5000));
+  SpatialHash hash(100.0);
+  for (int step = 0; step < 4; ++step) {
     sim.step();
     const auto snap = sim.snapshot();
-    SpatialHash hash(100.0);
     hash.build(snap);
-    const auto serial = hash.pairs_within(snap, 100.0);
-    EXPECT_EQ(hash.pairs_within(snap, 100.0, &pool2), serial);
-    EXPECT_EQ(hash.pairs_within(snap, 100.0, &pool8), serial);
+    const auto pairs = hash.pairs_within(snap, 100.0);
+    EXPECT_FALSE(pairs.empty());
+    EXPECT_EQ(pairs, brute_pairs(snap, 100.0)) << "step " << step;
   }
 }
 
@@ -277,9 +275,9 @@ TEST(VanetShardedDeterminismTest, LinkEventStreamByteIdenticalAcrossThreadCounts
   tp.heading_noise_deg = 2.0;
   tp.noise_seed = 9;
   tp.record_events = true;
-  LinkTracker serial(tp);
-  LinkTracker sharded2(tp, &pool2);
-  LinkTracker sharded8(tp, &pool8);
+  LinkTracker links1(tp);
+  LinkTracker links2(tp);
+  LinkTracker links8(tp);
 
   TrafficSim sim1(net, 43, params);
   TrafficSim sim2(net, 43, params);
@@ -289,19 +287,19 @@ TEST(VanetShardedDeterminismTest, LinkEventStreamByteIdenticalAcrossThreadCounts
     sim1.step();
     sim2.step(pool2);
     sim8.step(pool8);
-    serial.observe(now, sim1.snapshot());
-    sharded2.observe(now, sim2.snapshot());
-    sharded8.observe(now, sim8.snapshot());
+    links1.observe(now, sim1.snapshot());
+    links2.observe(now, sim2.snapshot());
+    links8.observe(now, sim8.snapshot());
   }
-  const auto bytes1 = serialized_events(serial.events());
-  ASSERT_FALSE(serial.events().empty());
-  EXPECT_EQ(bytes1, serialized_events(sharded2.events()));
-  EXPECT_EQ(bytes1, serialized_events(sharded8.events()));
+  const auto bytes1 = serialized_events(links1.events());
+  ASSERT_FALSE(links1.events().empty());
+  EXPECT_EQ(bytes1, serialized_events(links2.events()));
+  EXPECT_EQ(bytes1, serialized_events(links8.events()));
 
   // The completed-record streams must agree too (field for field).
-  const auto r1 = serial.finish();
-  const auto r2 = sharded2.finish();
-  const auto r8 = sharded8.finish();
+  const auto r1 = links1.finish();
+  const auto r2 = links2.finish();
+  const auto r8 = links8.finish();
   ASSERT_EQ(r1.size(), r2.size());
   ASSERT_EQ(r1.size(), r8.size());
   for (std::size_t i = 0; i < r1.size(); ++i) {
@@ -379,6 +377,59 @@ TEST(SpatialHashEdgeCaseTest, EmptyAndSingleVehicle) {
   TrajectoryLog log(1, kSecond);
   for (int i = 0; i < 5; ++i) log.append(one);
   EXPECT_TRUE(extract_links(log, 100.0).empty());
+}
+
+TEST(SpatialHashEdgeCaseTest, RowWrapWhenRightNeighbourIsEmpty) {
+  // 100 m cells. Cell (5, 0) ends row 0 and (6, 0) is empty, so the key
+  // after it is (-1, 1), the first cell of row 1: the walk must not take it
+  // for a right neighbour, and must still pair (5, 0) with (6, 1) above.
+  const auto snap = at_positions({{590.0, 95.0},     // 0: cell (5, 0)
+                                  {205.0, 60.0},     // 1: cell (2, 0)
+                                  {-40.0, 130.0},    // 2: cell (-1, 1)
+                                  {20.0, 120.0},     // 3: cell (0, 1)
+                                  {610.0, 110.0},    // 4: cell (6, 1)
+                                  {150.0, 40.0}});   // 5: cell (1, 0)
+  SpatialHash hash(100.0);
+  hash.build(snap);
+  const std::vector<VehiclePair> expected = {{0, 4}, {1, 5}, {2, 3}};
+  EXPECT_EQ(brute_pairs(snap, 100.0), expected);
+  EXPECT_EQ(hash.pairs_within(snap, 100.0), expected);
+}
+
+TEST(SpatialHashEdgeCaseTest, OnlyDiagonalNeighbours) {
+  // Cell (1, 1) touches occupied cells only at its lower corners: it is the
+  // up-right neighbour of (0, 0) and the up-left neighbour of (2, 0), which
+  // are too far apart to link. The upper cell holds the smaller id, so each
+  // pair is found lower-cell first and must still come out as (a < b).
+  const auto snap = at_positions({{150.0, 105.0},   // 0: cell (1, 1)
+                                  {95.0, 95.0},     // 1: cell (0, 0)
+                                  {205.0, 95.0}});  // 2: cell (2, 0)
+  SpatialHash hash(100.0);
+  hash.build(snap);
+  const std::vector<VehiclePair> expected = {{0, 1}, {0, 2}};
+  EXPECT_EQ(brute_pairs(snap, 100.0), expected);
+  EXPECT_EQ(hash.pairs_within(snap, 100.0), expected);
+}
+
+TEST(SpatialHashEdgeCaseTest, GappedRowsAtNegativeCoordinates) {
+  // Rows -5, -4, -2, 1 and 2 occupied (-3, -1 and 0 empty), and a dozen
+  // vehicles strewn over thirteen mostly negative columns per row, which
+  // leaves gaps inside rows: the forward cursor must skip empty rows and
+  // land on the right cell after every wrap.
+  util::Rng rng(2718);
+  std::vector<Vec2> positions;
+  for (const int row : {-5, -4, -2, 1, 2}) {
+    for (int i = 0; i < 12; ++i) {
+      positions.push_back(Vec2{rng.uniform(-1200.0, 100.0),
+                               100.0 * row + rng.uniform(0.0, 100.0)});
+    }
+  }
+  const auto snap = at_positions(positions);
+  SpatialHash hash(100.0);
+  hash.build(snap);
+  const auto expected = brute_pairs(snap, 100.0);
+  EXPECT_GT(expected.size(), 20U);
+  EXPECT_EQ(hash.pairs_within(snap, 100.0), expected);
 }
 
 TEST(SpatialHashEdgeCaseTest, BoundaryLatticeStress) {

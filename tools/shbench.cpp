@@ -302,10 +302,10 @@ BenchResult bench_adapter_step(const Options& o, const std::string& which) {
 
 /// City-scale VANET stepping: one op = one vehicle advanced one simulated
 /// second AND scanned for proximity links. The hash variants run the
-/// production path — sharded TrafficSim::step plus the SpatialHash-backed
-/// streaming LinkTracker over a thread pool — while the brute variant is the
-/// pre-spatial-hash architecture (serial step, O(n²) all-pairs scan), kept
-/// as the speedup yardstick. The two are separate benchmark names, never
+/// production path — TrafficSim::step sharded over a thread pool plus the
+/// streaming LinkTracker, whose SpatialHash walk is serial — while the
+/// brute variant is the pre-spatial-hash architecture (serial step, O(n²)
+/// all-pairs scan), kept as the speedup yardstick. The two are separate benchmark names, never
 /// compared by --check; the ≥20x hash-over-brute claim is checked by eye
 /// (and by the acceptance run), not by the regression gate.
 BenchResult bench_vanet_step(const Options& o, int vehicles, bool brute) {
@@ -327,7 +327,7 @@ BenchResult bench_vanet_step(const Options& o, int vehicles, bool brute) {
   params.routing = vanet::TrafficSim::Routing::kFollowRoad;
   vanet::TrafficSim sim(net, 1, params);
   exp::ThreadPool pool;  // hardware concurrency
-  vanet::LinkTracker tracker(vanet::LinkTracker::Params{}, &pool);
+  vanet::LinkTracker tracker(vanet::LinkTracker::Params{});
   Time now = 0;
   auto r = measure(
       o, static_cast<double>(vehicles) * steps, [&sim, &pool, &tracker, &now,
